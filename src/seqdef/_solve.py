@@ -1,4 +1,4 @@
-"""Bisection root finding with optional bracket expansion.
+"""Small numeric helpers shared across modules: bisection, clamping, counts.
 
 All target functions in this package are monotone on their brackets, so
 plain bisection is preferred over faster but less robust schemes.
@@ -6,6 +6,7 @@ plain bisection is preferred over faster but less robust schemes.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .errors import NoRootError
@@ -14,17 +15,24 @@ ABS_TOL = 1e-10
 MAX_ITER = 200
 
 
+def clamp01(x: float) -> float:
+    return min(1.0, max(0.0, x))
+
+
+def ceil_count(x: float) -> int:
+    """ceil(x) with a float-noise guard: values within 1e-9 above an integer round down."""
+    return math.ceil(x - 1e-9)
+
+
 def bisect_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     *,
-    tol: float = ABS_TOL,
-    max_iter: int = MAX_ITER,
     expand: bool = False,
     what: str = "root",
 ) -> float:
-    """Find x in [lo, hi] with |f(x)| < tol by bisection.
+    """Find x in [lo, hi] with |f(x)| < ABS_TOL by bisection.
 
     With expand=True the upper endpoint is doubled (up to 60 times) until
     the bracket straddles a sign change. Raises NoRootError if no sign
@@ -45,10 +53,10 @@ def bisect_root(
             attempts += 1
     if f_lo * f_hi > 0.0:
         raise NoRootError(what, lo, hi, f_lo, f_hi)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if abs(f_mid) < tol or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
+        if abs(f_mid) < ABS_TOL or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
             return mid
         if f_lo * f_mid <= 0.0:
             hi, f_hi = mid, f_mid

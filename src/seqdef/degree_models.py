@@ -46,7 +46,8 @@ class DegreeModel:
     k_hat: float | None = None
     alpha: float | None = None
     beta: float | None = None
-    histogram: Mapping[int, float] | None = field(default=None, repr=False)
+    # a dict is unhashable: the hash skips it, equality still compares it
+    histogram: Mapping[int, float] | None = field(default=None, repr=False, hash=False)
 
     def __post_init__(self):
         if self.kind not in (*_PARAMETRIC, EMPIRICAL):
@@ -137,14 +138,17 @@ def load_histogram(path) -> dict[int, float]:
     return hist
 
 
+def expm1_over(s: float, span: float, scale: float = 1.0) -> float:
+    """scale * (e^{s*span} - 1) / s, evaluated left to right; expm1 keeps the s -> 0 limit smooth."""
+    if s == 0.0:
+        return scale * span
+    return scale * math.expm1(s * span) / s
+
+
 def _power_integral(a: float, b: float, p: float) -> float:
     """Integral of k^p over [a, b], stable through the p = -1 singularity."""
     s = p + 1.0
-    span = math.log(b / a)
-    if s == 0.0:
-        return span
-    # a^s * (e^{s*span} - 1) / s; expm1 keeps the s -> 0 limit smooth
-    return a**s * math.expm1(s * span) / s
+    return expm1_over(s, math.log(b / a), a**s)
 
 
 def moments(model: DegreeModel) -> MomentSummary:

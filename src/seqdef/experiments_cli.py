@@ -11,6 +11,11 @@ is byte-identical. Commands:
   powergrid         attack curves and report markers on a real edge list
   operation-curves  minimum p_d vs p_f for given report budgets
 
+ExperimentConfig is the one table of settings: each field name is both
+a config-file key and a command-line flag (--<name>), with the field's
+type and default. Flags override config-file keys, which override the
+defaults.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -18,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -35,7 +39,7 @@ from .sprt_engine import (
     expected_reports_random,
     worst_case_bounds,
 )
-from ._solve import bisect_root
+from ._solve import bisect_root, ceil_count
 
 _EMPIRICAL_NETWORKS = (
     # name, model kind, parameter, node count
@@ -59,14 +63,9 @@ class ExperimentConfig:
     n: int = 10000
     kmin: int = 1
     kmax: int = 1000
-    alpha: float = 2.5
-    beta: float = 1.63
-    khat: float = 4.0
     q: float = 0.5
-    mc: int = 0
     trials: int = 100
     graph: str | None = None
-    scheme: str = "degree"
     steps: int = 21
     meandeg_grid: str = "1.2:6.4:14"
     q_grid: str = "0.05:1.0:20"
@@ -93,13 +92,13 @@ class ExperimentConfig:
         return RiskBudget(self.delta, self.theta)
 
 
-_INT_KEYS = {"seed", "n", "kmin", "kmax", "mc", "trials", "steps"}
-_FLOAT_KEYS = {"pd", "pf", "delta", "theta", "alpha", "beta", "khat", "q"}
+# key -> type of every setting; str for the paths whose default is None
+_KEY_TYPES = {
+    f.name: str if f.default is None else type(f.default) for f in fields(ExperimentConfig) if f.name != "command"
+}
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -135,25 +134,30 @@ def _render(config: ExperimentConfig, columns: list[str], rows: list[list[str]])
     return "\n".join(lines) + "\n"
 
 
-def _ceil_reports(n: int, qc: float) -> int:
-    return math.ceil(n * qc - 1e-9)
+def _family_model(kind: str, param: float, config: ExperimentConfig, n: int | None = None) -> DegreeModel:
+    size = config.n if n is None else n
+    if kind == "er":
+        return DegreeModel.er(param, k_min=config.kmin, k_max=config.kmax, n=size)
+    if kind == "power_law":
+        return DegreeModel.power_law(param, k_min=config.kmin, k_max=config.kmax, n=size)
+    return DegreeModel.exponential(param, k_min=config.kmin, k_max=config.kmax, n=size)
 
 
 def _model_for_mean_degree(kind: str, mean_degree: float, config: ExperimentConfig) -> DegreeModel:
     """Model of the given family whose (continuous) mean degree matches."""
-    lo, hi = config.kmin, config.kmax
     if kind == "er":
-        return DegreeModel.er(mean_degree, k_min=lo, k_max=hi, n=config.n)
-    if kind == "exponential":
-        if mean_degree <= lo:
+        param = mean_degree
+    elif kind == "exponential":
+        if mean_degree <= config.kmin:
             raise ConfigError(f"exponential model needs mean degree > k_min, got {mean_degree}")
-        return DegreeModel.exponential(mean_degree - lo, k_min=lo, k_max=hi, n=config.n)
+        param = mean_degree - config.kmin
+    else:
 
-    def gap(alpha: float) -> float:
-        return moments(DegreeModel.power_law(alpha, k_min=lo, k_max=hi, n=config.n)).mean_degree - mean_degree
+        def gap(alpha: float) -> float:
+            return moments(_family_model(kind, alpha, config)).mean_degree - mean_degree
 
-    alpha = bisect_root(gap, 1.0 + 1e-9, 60.0, what="power-law skewness for mean degree")
-    return DegreeModel.power_law(alpha, k_min=lo, k_max=hi, n=config.n)
+        param = bisect_root(gap, 1.0 + 1e-9, 60.0, what="power-law skewness for mean degree")
+    return _family_model(kind, param, config)
 
 
 def _thresholds(model: DegreeModel) -> tuple[float, float]:
@@ -176,15 +180,6 @@ def cmd_qc_sweep(config: ExperimentConfig) -> str:
             q_ran, q_int = _thresholds(model)
             rows.append([kind, _fmt(mean_degree), _fmt(param), _fmt(q_ran), _fmt(q_int)])
     return _render(config, ["model", "mean_degree", "param", "qc_random", "qc_intentional"], rows)
-
-
-def _family_model(kind: str, param: float, config: ExperimentConfig, n: int | None = None) -> DegreeModel:
-    size = config.n if n is None else n
-    if kind == "er":
-        return DegreeModel.er(param, k_min=config.kmin, k_max=config.kmax, n=size)
-    if kind == "power_law":
-        return DegreeModel.power_law(param, k_min=config.kmin, k_max=config.kmax, n=size)
-    return DegreeModel.exponential(param, k_min=config.kmin, k_max=config.kmax, n=size)
 
 
 def cmd_m1(config: ExperimentConfig) -> str:
@@ -241,7 +236,7 @@ def cmd_worst_case(config: ExperimentConfig) -> str:
     ]
     rows = []
     for qc in parse_grid(config.qc_grid):
-        m_c = _ceil_reports(config.n, qc)
+        m_c = ceil_count(config.n * qc)
         b = worst_case_bounds(qc, det, risk, m_c)
         rows.append([
             _fmt(qc), str(m_c), _fmt(b.accept_lower_bound), _fmt(b.reject_lower_bound),
@@ -263,8 +258,8 @@ def cmd_empirical(config: ExperimentConfig) -> str:
         model = _family_model(kind, param, config, n=n_nodes)
         q_ran = qc_random(model).qc
         q_int = qc_intentional(model).qc
-        mc_ran = _ceil_reports(n_nodes, q_ran)
-        mc_int = _ceil_reports(n_nodes, q_int)
+        mc_ran = ceil_count(n_nodes * q_ran)
+        mc_int = ceil_count(n_nodes * q_int)
         for pf in parse_grid(config.pf_list):
             for pd in parse_grid(config.pd_grid):
                 if pd <= pf:
@@ -315,7 +310,7 @@ def cmd_powergrid(config: ExperimentConfig) -> str:
     for pd in parse_grid(config.pd_grid):
         det = DetectorProfile(pd, config.pf)
         m1 = expected_reports_intentional(det, risk)
-        boundary = min(graph.n, math.ceil(m1 - 1e-9))
+        boundary = min(graph.n, ceil_count(m1))
         rows.append([
             "m1", "degree", "", "", "", _fmt(pd), _fmt(m1),
             _fmt(m1 / graph.n), _fmt(float(lcc_by_removed[boundary]) / graph.n),
@@ -375,62 +370,38 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _coerce(key: str, raw: str):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return _KEY_TYPES[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    return raw
 
 
 def build_config(command: str, file_options: dict[str, str], flag_options: dict) -> ExperimentConfig:
     """Defaults, then config-file keys, then command-line flags."""
     config = ExperimentConfig(command=command)
-    valid = {f.name for f in fields(ExperimentConfig)}
     for key, raw in file_options.items():
-        if key not in valid or key == "command":
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(config, key, _coerce(key, raw))
     for key, value in flag_options.items():
         if value is not None:
             setattr(config, key, value)
-    if config.scheme not in ("random", "degree", "betweenness"):
-        raise ConfigError(f"unknown scheme {config.scheme!r}")
     return config
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="seqdef", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--pd", type=float, default=None)
-        p.add_argument("--pf", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--kmin", type=int, default=None)
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--khat", type=float, default=None)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--mc", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--graph", type=str, default=None)
-        p.add_argument("--scheme", type=str, default=None, choices=["random", "degree", "betweenness"])
-        p.add_argument("--steps", type=int, default=None)
+    # allow_abbrev=False: a prefix such as --alpha must not resolve to --alpha_grid
+    parser = argparse.ArgumentParser(prog="seqdef", description=__doc__.split("\n\n")[0], allow_abbrev=False)
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", type=str, default=None)
+    for key, kind in _KEY_TYPES.items():
+        parser.add_argument(f"--{key}", type=kind, default=None)
     return parser
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    flag_options = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    flag_options = {key: getattr(args, key) for key in _KEY_TYPES}
     try:
         file_options = _read_config_file(args.config) if args.config else {}
         config = build_config(args.command, file_options, flag_options)

@@ -65,8 +65,17 @@ class NetworkGraph:
         return float((deg.astype(float) ** 2).sum() / s1) if s1 > 0 else 0.0
 
     def edge_text(self) -> str:
-        """Canonical one-edge-per-line serialization."""
-        return "".join(f"{a} {b}\n" for a, b in self.edges.tolist())
+        """Canonical serialization that `load_edge_list` reads back as this graph.
+
+        One 'u v' line per edge, then one single-id line per isolated
+        node; ids are the graph's `labels` when it has them. The loader
+        needs at least one edge and sorts labels, so graphs built with
+        no edges or unsorted labels do not round-trip.
+        """
+        ids = np.arange(self.n) if self.labels is None else self.labels
+        lines = [f"{a} {b}\n" for a, b in ids[self.edges].tolist()]
+        lines += [f"{v}\n" for v in ids[self.degrees() == 0].tolist()]
+        return "".join(lines)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._solve import bisect_root
+from ._solve import bisect_root, clamp01
 from .degree_models import (
     EMPIRICAL,
     ER,
@@ -21,6 +21,7 @@ from .degree_models import (
     POWER_LAW,
     DegreeModel,
     discrete_pmf,
+    expm1_over,
     moments,
 )
 from .errors import ConfigError, NoRootError, SubcriticalError
@@ -44,17 +45,13 @@ class CriticalValueReport:
     link_deletion_prob: float | None = None
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
 def qc_random(model: DegreeModel) -> CriticalValueReport:
     """Critical fraction for uniformly random node removal."""
     tau0 = moments(model).tau
     if tau0 <= 2.0:
         raise SubcriticalError(SUBCRITICAL_MSG)
     return CriticalValueReport(
-        qc=_clamp01(1.0 - 1.0 / (tau0 - 1.0)),
+        qc=clamp01(1.0 - 1.0 / (tau0 - 1.0)),
         scheme=RANDOM,
         method=CLOSED_FORM,
     )
@@ -123,7 +120,7 @@ def _qc_intentional_er(model: DegreeModel) -> CriticalValueReport:
             q_lo = sf[i + 1] - 1.0 / n
             q_hi = sf[i + 2] - 1.0 / n
             return CriticalValueReport(
-                qc=_clamp01((1.0 - t) * q_lo + t * q_hi),
+                qc=clamp01((1.0 - t) * q_lo + t * q_hi),
                 scheme=INTENTIONAL,
                 method=ROOT_SOLVE,
                 cutoff_degree=j_lo + t,
@@ -132,28 +129,21 @@ def _qc_intentional_er(model: DegreeModel) -> CriticalValueReport:
     raise NoRootError("ER intentional cutoff", 1, limit, sf[0] - target, sf[limit] - target)
 
 
-def _expm1_over(s: float, span: float) -> float:
-    """(e^{s*span} - 1) / s with the s -> 0 logarithmic limit."""
-    if s == 0.0:
-        return span
-    return math.expm1(s * span) / s
-
-
 def _qc_intentional_power_law(model: DegreeModel) -> CriticalValueReport:
     alpha, kn = model.alpha, float(model.k_min)
 
     def equation(x: float) -> float:
         # x = cutoff / k_min; stable through the alpha = 3 log branch
-        term = kn * (2.0 - alpha) * _expm1_over(3.0 - alpha, math.log(x))
+        term = kn * (2.0 - alpha) * expm1_over(3.0 - alpha, math.log(x))
         return x ** (2.0 - alpha) - term - 2.0
 
     x = bisect_root(equation, 1.0, 2.0, expand=True, what="power-law intentional cutoff")
     return CriticalValueReport(
-        qc=_clamp01(x ** (1.0 - alpha)),
+        qc=clamp01(x ** (1.0 - alpha)),
         scheme=INTENTIONAL,
         method=ROOT_SOLVE,
         cutoff_degree=kn * x,
-        link_deletion_prob=_clamp01(x ** (2.0 - alpha)),
+        link_deletion_prob=clamp01(x ** (2.0 - alpha)),
     )
 
 
@@ -177,11 +167,11 @@ def _qc_intentional_exponential(model: DegreeModel, exact_tail: bool) -> Critica
 
     qc = bisect_root(equation, 1e-12, 1.0 - 1.0 / n, what="exponential intentional critical value")
     return CriticalValueReport(
-        qc=_clamp01(qc),
+        qc=clamp01(qc),
         scheme=INTENTIONAL,
         method=ROOT_SOLVE,
         cutoff_degree=-beta * math.log(qc + 1.0 / n) + kn,
-        link_deletion_prob=_clamp01(target),
+        link_deletion_prob=clamp01(target),
     )
 
 

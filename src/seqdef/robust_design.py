@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._solve import bisect_root
+from ._solve import bisect_root, ceil_count
 from .degree_models import DegreeModel
-from .errors import ConfigError, InfeasibleError, NumericalError
+from .errors import ConfigError, InfeasibleError
 from .percolation_analytic import qc_random
 from .sprt_engine import (
     DetectorProfile,
@@ -86,18 +86,14 @@ def min_detection(p_f: float, risk: RiskBudget, m_c: int) -> OperationPoint:
 
 
 def operation_curve(p_f_grid, risk: RiskBudget, m_c: int) -> list[OperationPoint]:
-    """min_detection swept over a p_f grid, with a monotonicity guard."""
-    probe_f = 0.01
-    probe = [information_rate(pd, probe_f) for pd in (0.02, 0.1, 0.3, 0.6, 0.9)]
-    if any(b <= a for a, b in zip(probe, probe[1:])):
-        raise NumericalError("information rate failed the monotonicity guard")
+    """min_detection swept over a p_f grid."""
     return [min_detection(float(p_f), risk, m_c) for p_f in p_f_grid]
 
 
 def baseline_check(model: DegreeModel, detector: DetectorProfile, risk: RiskBudget) -> BaselineCheck:
     """Budget rule: m_c from the random-attack threshold must cover both schemes."""
     qc = qc_random(model).qc
-    m_c = math.ceil(model.n * qc - 1e-9)
+    m_c = ceil_count(model.n * qc)
     m1_ran = expected_reports_random(qc, detector, risk)
     m1_int = expected_reports_intentional(detector, risk)
     return BaselineCheck(

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rand import rng_stream
+from ._solve import ceil_count, clamp01
 from .errors import ConfigError, NumericalError
 
 RANDOM = "random"
@@ -41,10 +42,6 @@ H1 = "h1"
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ class AttackPlan:
     @property
     def m(self) -> int:
         """Number of attacked nodes, ceil(n*q) with a float-noise guard."""
-        return math.ceil(self.n * self.q - 1e-9)
+        return ceil_count(self.n * self.q)
 
     def attack_probability(self, i: int, detector: DetectorProfile) -> float:
         """a_i: probability that the i-th reporting node is attacked."""
@@ -340,10 +337,10 @@ def worst_case_bounds(
         y4=y4,
         y5=y5,
         y6=y6,
-        accept_lower_bound=_clamp01(1.0 - normal_cdf(y1)),
-        reject_lower_bound=_clamp01(normal_cdf(y2)),
-        delta_at_mc=_clamp01(risk.delta + normal_cdf(y3) - normal_cdf(y4)),
-        theta_at_mc=_clamp01(risk.theta + normal_cdf(y5) - normal_cdf(y6)),
+        accept_lower_bound=clamp01(1.0 - normal_cdf(y1)),
+        reject_lower_bound=clamp01(normal_cdf(y2)),
+        delta_at_mc=clamp01(risk.delta + normal_cdf(y3) - normal_cdf(y4)),
+        theta_at_mc=clamp01(risk.theta + normal_cdf(y5) - normal_cdf(y6)),
         mean_z_h0=e0,
         mean_z_h1=e1,
         sigma_z_h0=s0,
@@ -356,11 +353,11 @@ def _report_blocks(plan, detector, truth, m_c, width):
     p0 = detector.p_f
     if plan.targeted:
         boundary = min(plan.m, m_c)
-        segments = [(0, boundary, detector.p_d, True), (boundary, m_c, p0, False)]
+        segments = [(0, boundary, detector.p_d), (boundary, m_c, p0)]
     else:
-        segments = [(0, m_c, plan.q * detector.p_d, True)]
-    for seg_start, seg_end, p1, informative in segments:
-        if informative and p1 != p0:
+        segments = [(0, m_c, plan.q * detector.p_d)]
+    for seg_start, seg_end, p1 in segments:
+        if p1 != p0:
             z1, z0 = math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
         else:
             z1 = z0 = 0.0

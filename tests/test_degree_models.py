@@ -83,6 +83,14 @@ class TestValidation:
         assert model.histogram == {1: 0.25, 2: 0.5, 3: 0.25}
         assert model.k_min == 1 and model.k_max == 3
 
+    def test_empirical_models_hash_by_value(self):
+        a = DegreeModel.empirical({1: 0.25, 2: 0.75})
+        b = DegreeModel.empirical({2: 0.75, 1: 0.25})
+        other = DegreeModel.empirical({1: 0.5, 2: 0.5})
+        assert a == b and a != other
+        assert hash(a) == hash(b)
+        assert {a, b, other} == {a, other}
+
     def test_histogram_file_rejects_bad_line(self, tmp_path):
         path = tmp_path / "hist.txt"
         path.write_text("1 0.5\nnot numbers\n")

@@ -1,12 +1,18 @@
 """CLI harness: CSV shape, reference rows, overrides, exit codes, determinism."""
 
+import ast
+import inspect
 import math
+from dataclasses import fields
 
 import pytest
 
 from seqdef import DegreeModel, DetectorProfile, RiskBudget, expected_reports_intentional, generate
+import seqdef.experiments_cli as cli
 from seqdef.experiments_cli import (
     ExperimentConfig,
+    _build_parser,
+    _read_config_file,
     build_config,
     cmd_empirical,
     cmd_m1,
@@ -17,6 +23,9 @@ from seqdef.experiments_cli import (
     parse_grid,
     run,
 )
+
+
+SETTINGS = [f for f in fields(ExperimentConfig) if f.name != "command"]
 
 
 def parse_csv(text):
@@ -224,6 +233,47 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert "# meandeg_grid = 4" in out
         assert "er,4,4,0.75," in out
+
+
+class TestConfigTable:
+    def test_every_setting_is_read(self):
+        # a key only validated by build_config would be accepted and then ignored
+        read = set()
+        for func in ast.walk(ast.parse(inspect.getsource(cli))):
+            if isinstance(func, ast.FunctionDef) and func.name != "build_config":
+                for node in ast.walk(func):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in ("config", "self")
+                    ):
+                        read.add(node.attr)
+        assert sorted(f.name for f in SETTINGS if f.name not in read) == []
+
+    @pytest.mark.parametrize("setting", SETTINGS, ids=lambda f: f.name)
+    def test_flag_and_file_key_agree(self, setting, tmp_path):
+        kind = str if setting.default is None else type(setting.default)
+        raw = {int: "7", float: "0.25", str: "1,2"}[kind]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{setting.name} = {raw}\n")
+        from_file = getattr(build_config("m1", _read_config_file(str(cfg)), {}), setting.name)
+        from_flag = getattr(_build_parser().parse_args(["m1", f"--{setting.name}", raw]), setting.name)
+        assert from_file == from_flag == kind(raw)
+        assert type(from_file) is type(from_flag) is kind
+
+    @pytest.mark.parametrize(
+        "flags", [["--alpha", "2.1"], ["--scheme", "random"], ["--mc", "7"], ["--the", "0.1"]], ids=" ".join
+    )
+    def test_removed_and_abbreviated_flags_exit_2(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(["qc-sweep", *flags])
+        assert exc.value.code == 2
+
+    def test_removed_key_in_config_file_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 2.1\n")
+        assert run(["qc-sweep", "--config", str(cfg)]) == 2
 
 
 class TestExitCodes:

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from seqdef import (
     AttackPlan,
@@ -99,6 +101,18 @@ class TestLoadEdgeList:
         assert list(g.labels) == [3, 10, 20, 30, 99]
         assert g.degrees()[list(g.labels).index(99)] == 0
 
+    def test_edge_text_round_trip(self, tmp_path):
+        # the ER power-grid stand-in has isolated nodes; the labelled graph has sparse ids
+        source = tmp_path / "labelled.edges"
+        source.write_text("10 20\n20 30\n99\n")
+        for g in (generate(DegreeModel.er(2.67, n=4941), 4941, seed=3), load_edge_list(source)):
+            path = tmp_path / "round.edges"
+            path.write_text(g.edge_text())
+            back = load_edge_list(path)
+            assert back.n == g.n
+            assert np.array_equal(back.edges, g.edges)
+            assert np.array_equal(back.labels, np.arange(g.n) if g.labels is None else g.labels)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.edges"
         path.write_text("# nothing\n")
@@ -116,6 +130,28 @@ class TestLoadEdgeList:
         path.write_text("1 2 3\n")
         with pytest.raises(ConfigError, match=":1"):
             load_edge_list(path)
+
+
+@st.composite
+def labelled_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=25))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, min_size=1, max_size=3 * n))
+    labels = sorted(draw(st.sets(st.integers(0, 10**6), min_size=n, max_size=n)))
+    return NetworkGraph(n, edges, labels=labels)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(g=labelled_graphs())
+def test_edge_text_round_trip_property(g, tmp_path):
+    assume(g.edge_count > 0)
+    path = tmp_path / "g.edges"
+    path.write_text(g.edge_text())
+    back = load_edge_list(path)
+    assert back.n == g.n
+    assert np.array_equal(back.edges, g.edges)
+    assert np.array_equal(back.labels, g.labels)
+    assert np.array_equal(NetworkGraph(g.n, g.edges).edges, g.edges)
 
 
 class TestLargestComponent:
