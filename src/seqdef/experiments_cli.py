@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 from .degree_models import DegreeModel, moments
 from .errors import ConfigError, InfeasibleError, NumericalError, SubcriticalError
-from .graph_engine import average_random_attack, load_edge_list, removal_order, simulate_attack, _reverse_percolation
+from .graph_engine import average_random_attack, load_edge_list, simulate_attack, _percolation_passes
 from .percolation_analytic import qc_intentional, qc_random
 from .robust_design import min_detection
 from .sprt_engine import (
@@ -105,26 +105,25 @@ def _fmt(value) -> str:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse 'a,b,c' lists or 'lo:hi:count[:log]' ranges into floats."""
+    """Parse 'a,b,c' lists or 'lo:hi:count[:log]' ranges into floats; log ranges need lo, hi > 0."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
-            raise ConfigError(f"bad grid spec {text!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ConfigError(f"bad grid count in {text!r}")
-        if count == 1:
-            return [lo]
-        if len(parts) == 4:
-            ratio = (hi / lo) ** (1.0 / (count - 1))
-            return [lo * ratio**i for i in range(count)]
-        step = (hi - lo) / (count - 1)
-        return [lo + step * i for i in range(count)]
+    parts = text.split(":")
+    log = parts[3:] == ["log"]
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+        if len(parts) == 1:
+            return [float(tok) for tok in text.split(",") if tok.strip()]
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except (ValueError, IndexError) as exc:
         raise ConfigError(f"bad grid spec {text!r}") from exc
+    if len(parts) != (4 if log else 3) or count < 1 or (log and min(lo, hi) <= 0.0):
+        raise ConfigError(f"bad grid spec {text!r}")
+    if count == 1:
+        return [lo]
+    if log:
+        ratio = (hi / lo) ** (1.0 / (count - 1))
+        return [lo * ratio**i for i in range(count)]
+    step = (hi - lo) / (count - 1)
+    return [lo + step * i for i in range(count)]
 
 
 def _render(config: ExperimentConfig, columns: list[str], rows: list[list[str]]) -> str:
@@ -305,8 +304,7 @@ def cmd_powergrid(config: ExperimentConfig) -> str:
     # detection markers: reports needed for a targeted attack, and the
     # surviving largest component when exactly that many top-degree nodes
     # are already gone (the undetectable region boundary)
-    degree_order = removal_order(graph, "degree", config.seed)
-    lcc_by_removed, _ = _reverse_percolation(graph, degree_order)
+    lcc_by_removed, _ = next(_percolation_passes(graph, "degree", 1, config.seed))
     for pd in parse_grid(config.pd_grid):
         det = DetectorProfile(pd, config.pf)
         m1 = expected_reports_intentional(det, risk)
@@ -325,6 +323,8 @@ def cmd_operation_curves(config: ExperimentConfig) -> str:
     rows = []
     feasible_points = 0
     for mc in parse_grid(config.mc_list):
+        if not mc.is_integer():
+            raise ConfigError(f"mc_list entries must be integers, got {mc!r}")
         m_c = int(mc)
         for pf in parse_grid(config.pf_grid):
             try:
@@ -350,7 +350,7 @@ _COMMANDS = {
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is not special
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -313,17 +313,35 @@ def betweenness(graph: NetworkGraph, normalized: bool = True) -> np.ndarray:
 def removal_order(graph: NetworkGraph, scheme: str, seed: int) -> np.ndarray:
     """Full node removal order for an attack scheme.
 
-    Random orders are seeded permutations; degree and betweenness orders
-    are static (computed once on the intact graph), descending, with
-    index tie-breaks.
+    Random orders are seeded permutations, trial 0 of the orders that
+    random-attack averages draw; degree and betweenness orders are
+    static (computed once on the intact graph), descending, with index
+    tie-breaks.
     """
     if scheme == "random":
-        return rng_stream(seed, 0xA7).permutation(graph.n)
+        return _random_order(graph, seed, 0)
     if scheme in ("degree", "intentional"):
         return np.lexsort((np.arange(graph.n), -graph.degrees()))
     if scheme == "betweenness":
         return np.lexsort((np.arange(graph.n), -betweenness(graph)))
     raise ConfigError(f"unknown attack scheme {scheme!r}")
+
+
+def _random_order(graph: NetworkGraph, seed: int, trial: int) -> np.ndarray:
+    """Random removal order of trial `trial`, drawn from stream (seed, 0xA7, trial)."""
+    return rng_stream(seed, 0xA7, trial).permutation(graph.n)
+
+
+def _percolation_passes(graph: NetworkGraph, scheme: str, trials: int, seed: int):
+    """Yield `_reverse_percolation` of each removal order, one pass alive at a time.
+
+    A random attack runs `trials` seeded orders; a static order runs once.
+    """
+    if scheme != "random":
+        yield _reverse_percolation(graph, removal_order(graph, scheme, seed))
+        return
+    for trial in range(trials):
+        yield _reverse_percolation(graph, _random_order(graph, seed, trial))
 
 
 def _reverse_percolation(graph: NetworkGraph, order: np.ndarray):
@@ -367,23 +385,19 @@ def simulate_attack(graph: NetworkGraph, plan: AttackPlan, step_count: int, seed
 
     The curve is evaluated at `step_count` evenly spaced removed
     fractions from 0 to plan.q; component fractions are relative to the
-    original node count.
+    original node count. A random plan follows trial 0 of
+    `average_random_attack`.
     """
-    if step_count < 2:
-        raise ConfigError("step_count must be >= 2")
-    order = removal_order(graph, plan.scheme, seed)
-    lcc, tau = _reverse_percolation(graph, order)
-    fractions = np.linspace(0.0, plan.q, step_count)
-    removed = np.minimum(np.round(fractions * graph.n).astype(np.int64), graph.n)
-    return RemovalCurve(
-        removed_fraction=fractions,
-        lcc_fraction=lcc[removed] / graph.n,
-        remaining_tau=tau[removed],
-    )
+    return _removal_curve(graph, plan.scheme, plan.q, step_count, 1, seed)
 
 
 def average_random_attack(graph: NetworkGraph, q: float, step_count: int, trials: int, seed: int) -> RemovalCurve:
     """Random-attack curve averaged over `trials` seeded removal orders."""
+    return _removal_curve(graph, "random", q, step_count, trials, seed)
+
+
+def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
+    """Response curve from 0 to q, averaged over the passes of `_percolation_passes`."""
     if step_count < 2:
         raise ConfigError("step_count must be >= 2")
     if trials < 1:
@@ -392,9 +406,7 @@ def average_random_attack(graph: NetworkGraph, q: float, step_count: int, trials
     removed = np.minimum(np.round(fractions * graph.n).astype(np.int64), graph.n)
     lcc_acc = np.zeros(step_count)
     tau_acc = np.zeros(step_count)
-    for trial in range(trials):
-        order = rng_stream(seed, 0xA7, trial).permutation(graph.n)
-        lcc, tau = _reverse_percolation(graph, order)
+    for lcc, tau in _percolation_passes(graph, scheme, trials, seed):
         lcc_acc += lcc[removed] / graph.n
         tau_acc += tau[removed]
     return RemovalCurve(
@@ -422,16 +434,8 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
         return QcEstimate(0.0, True)
     if scheme == "exhaustive":
         return QcEstimate(_exhaustive_qc(graph), False)
-    if scheme == "random":
-        crossings = []
-        for trial in range(trials):
-            order = rng_stream(seed, 0xA7, trial).permutation(graph.n)
-            _, tau = _reverse_percolation(graph, order)
-            crossings.append(_first_crossing(tau) / graph.n)
-        return QcEstimate(float(np.mean(crossings)), False)
-    order = removal_order(graph, scheme, seed)
-    _, tau = _reverse_percolation(graph, order)
-    return QcEstimate(_first_crossing(tau) / graph.n, False)
+    crossings = [_first_crossing(tau) / graph.n for _, tau in _percolation_passes(graph, scheme, trials, seed)]
+    return QcEstimate(float(np.mean(crossings)), False)
 
 
 def _exhaustive_qc(graph: NetworkGraph) -> float:

@@ -10,7 +10,6 @@ schemes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ._solve import bisect_root, ceil_count
@@ -20,6 +19,7 @@ from .percolation_analytic import qc_random
 from .sprt_engine import (
     DetectorProfile,
     RiskBudget,
+    _llr_pair,
     expected_reports_intentional,
     expected_reports_random,
 )
@@ -45,15 +45,16 @@ class BaselineCheck:
 
 
 def information_rate(p_d: float, p_f: float) -> float:
-    """Binary KL divergence D(p_d || p_f): nonnegative, zero iff p_d == p_f."""
-    return p_d * math.log(p_d / p_f) + (1.0 - p_d) * math.log((1.0 - p_d) / (1.0 - p_f))
+    """Binary KL divergence D(p_d || p_f) = E[z|H1]: nonnegative, zero iff p_d == p_f."""
+    z1, z0 = _llr_pair(p_d, p_f)
+    return p_d * z1 + (1.0 - p_d) * z0
 
 
 def required_rate(risk: RiskBudget, m_c: int) -> float:
     """Decision effort theta*logB + (1-theta)*logA spread over m_c reports."""
     if m_c < 1:
         raise ConfigError("report budget m_c must be >= 1")
-    return (risk.theta * risk.log_b + (1.0 - risk.theta) * risk.log_a) / m_c
+    return risk.decision_effort / m_c
 
 
 def feasible(detector: DetectorProfile, risk: RiskBudget, m_c: int) -> bool:

@@ -4,10 +4,13 @@ A fusion center collects one-bit attack reports in descending degree
 order and runs a sequential probability ratio test between "attack"
 (H1) and "no attack" (H0). Under H1 a report is Bernoulli(a_i * p_d)
 where a_i is the per-node attack probability of the scheme; under H0 it
-is Bernoulli(p_f). The module provides the per-report log-likelihood
-ratios, the stepwise test with its truncated worst-case variant,
-expected report counts, and normal-approximation bounds for the forced
-decision at a report budget.
+is Bernoulli(p_f).
+
+`report_segments` describes the H1 stream once, as runs of constant
+success probability: one run at q * p_d for a random attack; the
+attacked set at p_d, then inert reports (zero LLR) for a targeted one.
+The per-report LLR, the count-form decision, the Monte-Carlo blocks and
+the LLR moments (report counts, worst-case bounds, KL rate) read them.
 
 Since detectors are i.i.d. given a_i, only the a_i sequence matters for
 simulation; the descending-degree report order is a labeling convention.
@@ -79,6 +82,18 @@ class RiskBudget:
     def log_b(self) -> float:
         return math.log(self.theta / (1.0 - self.delta))
 
+    @property
+    def decision_effort(self) -> float:
+        """theta*log B + (1-theta)*log A: expected LLR at the decision under H1."""
+        return self.theta * self.log_b + (1.0 - self.theta) * self.log_a
+
+
+def _attacked_fraction(q: float) -> float:
+    """q itself, once checked to lie in (0, 1]."""
+    if not 0.0 < q <= 1.0:
+        raise ConfigError("attacked fraction q must lie in (0, 1]")
+    return q
+
 
 @dataclass(frozen=True)
 class AttackPlan:
@@ -91,8 +106,7 @@ class AttackPlan:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"unknown attack scheme {self.scheme!r}")
-        if not 0.0 < self.q <= 1.0:
-            raise ConfigError("attacked fraction q must lie in (0, 1]")
+        _attacked_fraction(self.q)
         if self.n < 1:
             raise ConfigError("network size n must be >= 1")
 
@@ -104,14 +118,6 @@ class AttackPlan:
     def m(self) -> int:
         """Number of attacked nodes, ceil(n*q) with a float-noise guard."""
         return ceil_count(self.n * self.q)
-
-    def attack_probability(self, i: int, detector: DetectorProfile) -> float:
-        """a_i: probability that the i-th reporting node is attacked."""
-        if i < 1:
-            raise ConfigError("report index i starts at 1")
-        if not self.targeted:
-            return self.q
-        return 1.0 if i <= self.m else detector.p_f / detector.p_d
 
 
 @dataclass
@@ -171,21 +177,37 @@ class DetectionSummary:
         return (self.truncated_attack + self.truncated_null) / self.trials
 
 
-def per_report_llr(x: int, plan: AttackPlan, detector: DetectorProfile, i: int) -> float:
-    """Log-likelihood ratio of report i.
-
-    For targeted plans every report beyond the attacked set carries no
-    information (a_i * p_d == p_f), so z is identically zero there.
-    """
-    if plan.targeted and i > plan.m:
-        return 0.0
-    p1 = plan.attack_probability(i, detector) * detector.p_d
-    p0 = detector.p_f
+def _llr_pair(p1: float, p0: float) -> tuple[float, float]:
+    """(z1, z0): LLR of a one and of a zero report, success prob p1 vs p0; 0.0 where p1 == p0."""
     if p1 == p0:
-        return 0.0
-    if x:
-        return math.log(p1 / p0)
-    return math.log((1.0 - p1) / (1.0 - p0))
+        return 0.0, 0.0
+    return math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
+
+
+def report_segments(plan: AttackPlan, detector: DetectorProfile) -> list[tuple]:
+    """The H1 report stream as runs (start, stop, p1, z1, z0) of constant success probability.
+
+    Reports start..stop-1 (0-based) succeed with probability p1 under H1
+    and carry LLR z1 if one, z0 if zero. A random attack is one run at
+    q * p_d; a targeted attack is the attacked set [0, M) at p_d, then
+    inert reports at p_f with zero LLR. The last run is unbounded
+    (stop = inf).
+    """
+    if not plan.targeted:
+        p1 = plan.q * detector.p_d
+        return [(0, math.inf, p1, *_llr_pair(p1, detector.p_f))]
+    return [
+        (0, plan.m, detector.p_d, *_llr_pair(detector.p_d, detector.p_f)),
+        (plan.m, math.inf, detector.p_f, 0.0, 0.0),
+    ]
+
+
+def per_report_llr(x: int, plan: AttackPlan, detector: DetectorProfile, i: int) -> float:
+    """Log-likelihood ratio of report i (1-based), read off its report segment."""
+    if i < 1:
+        raise ConfigError("report index i starts at 1")
+    _, _, _, z1, z0 = next(seg for seg in report_segments(plan, detector) if i <= seg[1])
+    return z1 if x else z0
 
 
 def step(
@@ -232,44 +254,26 @@ def decision_by_counts(
 ) -> str:
     """Decision from the success count d_m after m reports.
 
-    Algebraic rearrangement of the LLR thresholds into bounds on d_m;
-    must agree with the stepwise test on every trajectory. For targeted
-    plans reports beyond the attacked set are inert, so m is capped at M
-    and d_m must count successes among the first min(m, M) reports only.
+    The LLR d_m*z1 + (min(m, stop) - d_m)*z0 of the first report segment;
+    must agree with the stepwise test on every trajectory. Targeted plans
+    are inert beyond the attacked set, so d_m counts successes among the
+    first min(m, M) reports only.
     """
-    if plan.targeted:
-        p1 = detector.p_d
-        m_eff = min(m, plan.m)
-    else:
-        p1 = plan.q * detector.p_d
-        m_eff = m
-    p0 = detector.p_f
-    if p1 == p0:
-        return CONTINUE
-    slope = math.log(p1 / p0) - math.log((1.0 - p1) / (1.0 - p0))
-    drift = math.log((1.0 - p0) / (1.0 - p1))
-    if slope <= 0.0:
-        # degenerate discrimination (q * p_d < p_f); fall back to the LLR
-        lam = d_m * math.log(p1 / p0) + (m_eff - d_m) * math.log((1.0 - p1) / (1.0 - p0))
-        if lam >= risk.log_a:
-            return ACCEPT_ATTACK
-        if lam <= risk.log_b:
-            return ACCEPT_NULL
-        return CONTINUE
-    if d_m >= (risk.log_a + m_eff * drift) / slope:
+    _, stop, _, z1, z0 = report_segments(plan, detector)[0]
+    lam = d_m * z1 + (min(m, stop) - d_m) * z0
+    if lam >= risk.log_a:
         return ACCEPT_ATTACK
-    if d_m <= (risk.log_b + m_eff * drift) / slope:
+    if lam <= risk.log_b:
         return ACCEPT_NULL
     return CONTINUE
 
 
 def _llr_stats(p1: float, p0: float) -> tuple[float, float, float, float]:
     """(E[z|H1], E[z|H0], sigma[z|H1], sigma[z|H0]) for success probs p1/p0."""
-    zlr1 = math.log(p1 / p0)
-    zlr0 = math.log((1.0 - p1) / (1.0 - p0))
-    spread = zlr1 - zlr0
-    e1 = p1 * zlr1 + (1.0 - p1) * zlr0
-    e0 = p0 * zlr1 + (1.0 - p0) * zlr0
+    z1, z0 = _llr_pair(p1, p0)
+    spread = z1 - z0
+    e1 = p1 * z1 + (1.0 - p1) * z0
+    e0 = p0 * z1 + (1.0 - p0) * z0
     s1 = math.sqrt(p1 * (1.0 - p1)) * spread
     s0 = math.sqrt(p0 * (1.0 - p0)) * spread
     return e1, e0, s1, s0
@@ -284,13 +288,10 @@ def expected_reports_random(q: float, detector: DetectorProfile, risk: RiskBudge
     (for q*p_d = 0.15, p_f = 0.01 the jump is 59% of log A and the exact
     mean is 22% above this value).
     """
-    p1 = q * detector.p_d
-    p0 = detector.p_f
-    if p1 == p0:
+    p1 = _attacked_fraction(q) * detector.p_d
+    if p1 == detector.p_f:
         raise NumericalError("degenerate test: q * p_d equals p_f")
-    numerator = risk.theta * risk.log_b + (1.0 - risk.theta) * risk.log_a
-    e1, _, _, _ = _llr_stats(p1, p0)
-    return numerator / e1
+    return risk.decision_effort / _llr_stats(p1, detector.p_f)[0]
 
 
 def expected_reports_intentional(detector: DetectorProfile, risk: RiskBudget) -> float:
@@ -317,11 +318,10 @@ def worst_case_bounds(
     """
     if m_c < 1:
         raise ConfigError("report budget m_c must be >= 1")
-    p1 = q_effective * detector.p_d
-    p0 = detector.p_f
-    if p1 <= p0:
+    p1 = _attacked_fraction(q_effective) * detector.p_d
+    if p1 <= detector.p_f:
         raise NumericalError("worst-case bounds need q_effective * p_d > p_f")
-    e1, e0, s1, s0 = _llr_stats(p1, p0)
+    e1, e0, s1, s0 = _llr_stats(p1, detector.p_f)
     rt = math.sqrt(m_c)
     y1 = (risk.log_a - m_c * e1) / (rt * s1)
     y2 = (risk.log_b - m_c * e0) / (rt * s0)
@@ -349,22 +349,12 @@ def worst_case_bounds(
 
 
 def _report_blocks(plan, detector, truth, m_c, width):
-    """Yield (start, success_prob, z_if_one, z_if_zero) column blocks."""
-    p0 = detector.p_f
-    if plan.targeted:
-        boundary = min(plan.m, m_c)
-        segments = [(0, boundary, detector.p_d), (boundary, m_c, p0)]
-    else:
-        segments = [(0, m_c, plan.q * detector.p_d)]
-    for seg_start, seg_end, p1 in segments:
-        if p1 != p0:
-            z1, z0 = math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
-        else:
-            z1 = z0 = 0.0
-        success = p1 if truth == H1 else p0
-        for start in range(seg_start, seg_end, width):
-            stop = min(start + width, seg_end)
-            yield start, stop, success, z1, z0
+    """Yield (start, stop, success_prob, z_if_one, z_if_zero) column blocks of the first m_c reports."""
+    for seg_start, seg_stop, p1, z1, z0 in report_segments(plan, detector):
+        seg_stop = min(seg_stop, m_c)
+        success = p1 if truth == H1 else detector.p_f
+        for start in range(seg_start, seg_stop, width):
+            yield start, min(start + width, seg_stop), success, z1, z0
 
 
 def simulate_detection(

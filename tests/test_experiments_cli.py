@@ -226,6 +226,13 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="unknown config key"):
             build_config("qc-sweep", {"pq": "1"}, {})
 
+    def test_percent_in_value_is_literal(self, tmp_path):
+        out = tmp_path / "50%.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {out}\n")
+        assert run(["qc-sweep", "--config", str(cfg)]) == 0
+        assert f"# out = {out}\n" in out.read_text()
+
     def test_config_file_without_section(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("meandeg_grid = 4\n")
@@ -296,6 +303,23 @@ class TestExitCodes:
         config = ExperimentConfig(command="operation-curves", mc_list="1", pf_grid="0.2,0.3")
         with pytest.raises(InfeasibleError):
             cmd_operation_curves(config)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["operation-curves", "--pf_grid", "0:0.1:10:log"],
+            ["operation-curves", "--pf_grid=-1e-4:0.1:10:log"],
+            ["m1", "--q_grid", "0:1:abc"],
+            ["m1", "--q_grid", "0.1:1:2.5"],
+            ["operation-curves", "--mc_list", "2.7"],
+            ["m1", "--q_grid", "0.5:1.5:3"],
+            ["worst-case", "--qc_grid", "0.5:1.5:3"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_grid_input_is_config_error(self, argv, capsys):
+        assert run(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_numerical_exit_code_through_cli(self, tmp_path):
         cfg = tmp_path / "oc.cfg"

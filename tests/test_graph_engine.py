@@ -24,6 +24,7 @@ from seqdef import (
     sample_degree_sequence,
     simulate_attack,
 )
+from seqdef.graph_engine import _reverse_percolation
 
 
 def complete_graph(n):
@@ -154,6 +155,38 @@ def test_edge_text_round_trip_property(g, tmp_path):
     assert np.array_equal(NetworkGraph(g.n, g.edges).edges, g.edges)
 
 
+@settings(deadline=None)
+@given(g=labelled_graphs(), data=st.data())
+def test_reverse_percolation_matches_brute_force(g, data):
+    # every removal prefix: LCC by depth-first search and tau from the surviving degrees
+    order = np.array(data.draw(st.permutations(range(g.n))))
+    lcc, tau = _reverse_percolation(g, order)
+    for m in range(g.n + 1):
+        alive = set(order[m:].tolist())
+        adj = {v: [] for v in alive}
+        for a, b in g.edges.tolist():
+            if a in alive and b in alive:
+                adj[a].append(b)
+                adj[b].append(a)
+        best, seen = 0, set()
+        for root in alive:
+            if root in seen:
+                continue
+            stack, size = [root], 0
+            seen.add(root)
+            while stack:
+                size += 1
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            best = max(best, size)
+        s1 = sum(len(nb) for nb in adj.values())
+        s2 = sum(len(nb) ** 2 for nb in adj.values())
+        assert lcc[m] == best
+        assert tau[m] == (s2 / s1 if s1 else 0.0)
+
+
 class TestLargestComponent:
     def test_path_graph(self):
         size, members = largest_component(NetworkGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
@@ -279,6 +312,17 @@ class TestSimulateAttack:
 
 
 class TestAverageRandomAttack:
+    def test_single_trial_is_the_random_simulate_attack(self):
+        # one stream convention: removal_order(g, "random", seed) is trial 0
+        g = generate(DegreeModel.er(3), 400, seed=1)
+        single = simulate_attack(g, AttackPlan("random", 0.6, g.n), 7, seed=3)
+        averaged = average_random_attack(g, 0.6, 7, trials=1, seed=3)
+        assert np.array_equal(single.lcc_fraction, averaged.lcc_fraction)
+        assert np.array_equal(single.remaining_tau, averaged.remaining_tau)
+        lcc, _ = _reverse_percolation(g, removal_order(g, "random", seed=3))
+        removed = np.round(single.removed_fraction * g.n).astype(np.int64)
+        assert np.array_equal(lcc[removed] / g.n, single.lcc_fraction)
+
     def test_determinism_and_shape(self):
         g = generate(DegreeModel.er(3), 400, seed=1)
         a = average_random_attack(g, 0.6, 7, trials=20, seed=3)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdef import (
     AttackPlan,
@@ -18,6 +20,7 @@ from seqdef import (
     expected_reports_random,
     normal_cdf,
     per_report_llr,
+    report_segments,
     simulate_detection,
     step,
     truncate,
@@ -57,15 +60,26 @@ class TestTypes:
         with pytest.raises(ConfigError):
             build()
 
-    def test_attack_probabilities(self):
+    def test_report_segments(self):
         det = DetectorProfile(0.9, 0.001)
-        random_plan = AttackPlan("random", 0.37, 100)
-        assert random_plan.attack_probability(1, det) == 0.37
-        assert random_plan.attack_probability(100, det) == 0.37
+        ((start, stop, p1, z1, z0),) = report_segments(AttackPlan("random", 0.37, 100), det)
+        assert (start, stop, p1) == (0, math.inf, 0.37 * 0.9)
+        assert z1 == pytest.approx(math.log(0.333 / 0.001), abs=1e-12)
+        assert z0 == pytest.approx(math.log(0.667 / 0.999), abs=1e-12)
         targeted = AttackPlan("intentional", 0.25, 100)
         assert targeted.m == 25
-        assert targeted.attack_probability(25, det) == 1.0
-        assert targeted.attack_probability(26, det) == pytest.approx(0.001 / 0.9)
+        attacked, inert = report_segments(targeted, det)
+        assert attacked[:3] == (0, 25, 0.9)
+        assert attacked[3:] == pytest.approx((math.log(900), math.log(0.1 / 0.999)), abs=1e-12)
+        assert inert == (25, math.inf, 0.001, 0.0, 0.0)
+
+    @pytest.mark.parametrize("q", [0.0, -0.2, 1.5, math.nan])
+    def test_fraction_outside_unit_interval_rejected_by_formulas(self, q):
+        det = DetectorProfile(0.5, 0.01)
+        with pytest.raises(ConfigError, match="attacked fraction"):
+            expected_reports_random(q, det, RISK)
+        with pytest.raises(ConfigError, match="attacked fraction"):
+            worst_case_bounds(q, det, RISK, 10)
 
     def test_ceil_report_count(self):
         assert AttackPlan("intentional", 0.2, 10).m == 2
@@ -92,6 +106,10 @@ class TestPerReportLLR:
         plan = AttackPlan("random", 0.5, 100)
         assert per_report_llr(0, plan, det, 3) == 0.0
         assert per_report_llr(1, plan, det, 3) == 0.0
+
+    def test_report_index_starts_at_one(self):
+        with pytest.raises(ConfigError, match="starts at 1"):
+            per_report_llr(1, AttackPlan("random", 0.5, 100), DetectorProfile(0.9, 0.001), 0)
 
 
 class TestStepAndTruncate:
@@ -172,6 +190,28 @@ class TestCountFormAgreement:
                 step(trace, x, plan, det, RISK)
                 d_m = sum(trace.reports[: plan.m]) if plan.targeted else trace.d_count
                 assert decision_by_counts(d_m, m, plan, det, RISK) == trace.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scheme=st.sampled_from(["random", "intentional", "betweenness"]),
+        q=st.floats(1e-3, 1.0),
+        n=st.integers(1, 300),
+        probs=st.tuples(st.floats(1e-4, 0.999), st.floats(1e-4, 0.999)).map(sorted),
+        delta=st.floats(1e-4, 0.45),
+        theta=st.floats(1e-4, 0.45),
+        xs=st.lists(st.booleans(), min_size=1, max_size=150),
+    )
+    def test_count_form_matches_step_property(self, scheme, q, n, probs, delta, theta, xs):
+        plan = AttackPlan(scheme, q, n)
+        det = DetectorProfile(probs[1], probs[0])
+        risk = RiskBudget(delta, theta)
+        trace = SprtTrace()
+        for m, x in enumerate(xs, start=1):
+            step(trace, x, plan, det, risk)
+            d_m = sum(trace.reports[: plan.m]) if plan.targeted else trace.d_count
+            assert decision_by_counts(d_m, m, plan, det, risk) == trace.state
+            if trace.state != "continue":
+                break
 
 
 class TestExpectedReports:
