@@ -28,13 +28,14 @@ from dataclasses import dataclass, fields
 
 from .degree_models import DegreeModel, moments
 from .errors import ConfigError, InfeasibleError, NumericalError, SubcriticalError
-from .graph_engine import average_random_attack, load_edge_list, simulate_attack, _percolation_passes
+from .graph_engine import _lcc_by_removed, average_random_attack, load_edge_list, removal_order, simulate_attack
 from .percolation_analytic import qc_intentional, qc_random
 from .robust_design import min_detection
 from .sprt_engine import (
     AttackPlan,
     DetectorProfile,
     RiskBudget,
+    _attacked_fraction,
     expected_reports_intentional,
     expected_reports_random,
     worst_case_bounds,
@@ -185,11 +186,13 @@ def cmd_m1(config: ExperimentConfig) -> str:
     """Expected report counts for random and intentional attacks.
 
     Grid points outside the detectable regime (p_d <= p_f, or random
-    attacks with q * p_d <= p_f) are skipped.
+    attacks with q * p_d <= p_f) are skipped; a q outside (0, 1] is a
+    configuration error.
     """
     risk = config.risk()
     pd_grid = parse_grid(config.pd_grid)
     pf_list = parse_grid(config.pf_list)
+    q_grid = [_attacked_fraction(q) for q in parse_grid(config.q_grid)]
     columns = ["record", "model", "param", "q", "pd", "pf", "qc_random", "m1"]
     rows = []
     for pf in pf_list:
@@ -197,7 +200,7 @@ def cmd_m1(config: ExperimentConfig) -> str:
             if pd <= pf:
                 continue
             det = DetectorProfile(pd, pf)
-            for q in parse_grid(config.q_grid):
+            for q in q_grid:
                 if q * pd <= pf:
                     continue
                 m1 = expected_reports_random(q, det, risk)
@@ -304,7 +307,7 @@ def cmd_powergrid(config: ExperimentConfig) -> str:
     # detection markers: reports needed for a targeted attack, and the
     # surviving largest component when exactly that many top-degree nodes
     # are already gone (the undetectable region boundary)
-    lcc_by_removed, _ = next(_percolation_passes(graph, "degree", 1, config.seed))
+    lcc_by_removed = _lcc_by_removed(graph, removal_order(graph, "degree", config.seed))
     for pd in parse_grid(config.pd_grid):
         det = DetectorProfile(pd, config.pf)
         m1 = expected_reports_intentional(det, risk)

@@ -1,16 +1,19 @@
 """Concrete graphs: generation, ingestion, components, betweenness, attacks.
 
-Graphs are simple and undirected with dense node indices. Attack
-simulation removes nodes in a scheme-specific order and tracks both the
-largest-component fraction and the Molloy-Reed ratio of the surviving
-subgraph; the heavy lifting runs as reverse percolation (adding nodes
-back) so a whole removal curve costs O(V + E).
+Graphs are simple and undirected with dense node indices, stored as one
+canonical edge array. An attack removes nodes in a scheme-specific order;
+each edge then has a survival time t_e, the earlier removal position of
+its two ends, and is present while at most t_e nodes are gone. The whole
+removal curve follows from these times: the Molloy-Reed ratio of the
+surviving subgraph by sorting and cumulative sums, and its largest
+component by one union-find pass over the edges in decreasing t_e
+(reverse percolation, Newman & Ziff 2000).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from ._rand import rng_stream
 from .degree_models import ER, DegreeModel, sample_degree_sequence
 from .errors import ConfigError
-from .sprt_engine import AttackPlan
+from .sprt_engine import AttackPlan, _attacked_fraction
 
 REWIRE_SWEEPS = 100
 
@@ -26,8 +29,9 @@ REWIRE_SWEEPS = 100
 class NetworkGraph:
     """Simple undirected graph over node indices 0..n-1.
 
-    The constructor canonicalizes raw edges: self-loops and duplicate
-    edges are dropped and counted. Instances are treated as immutable
+    The constructor canonicalizes raw edges into `edges`, the one stored
+    representation: rows (a, b) with a < b, sorted, with self-loops and
+    duplicates dropped and counted. Instances are treated as immutable
     once built.
     """
 
@@ -46,10 +50,16 @@ class NetworkGraph:
         self.edges = np.column_stack((codes // self.n, codes % self.n))
         self.stubs_dropped = int(stubs_dropped)
         self.labels = None if labels is None else np.asarray(labels)
-        self.adjacency: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges.tolist():
-            self.adjacency[a].append(b)
-            self.adjacency[b].append(a)
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """Neighbor lists, each in ascending order; built on first use."""
+        # lower neighbors (from b's side) precede higher ones, so a stable sort keeps each list ascending
+        ends = np.concatenate((self.edges[:, 1], self.edges[:, 0]))
+        others = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
+        flat = others[np.argsort(ends, kind="stable")].tolist()
+        bounds = np.cumsum(self.degrees()).tolist()
+        return [flat[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
 
     @property
     def edge_count(self) -> int:
@@ -93,31 +103,6 @@ class RemovalCurve:
 class QcEstimate(NamedTuple):
     qc: float
     subcritical: bool
-
-
-class _UnionFind:
-    """Array union-find with path halving and size tracking."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return self.size[ra]
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return self.size[ra]
 
 
 def _er_gnp(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -251,17 +236,39 @@ def largest_component(graph: NetworkGraph) -> tuple[int, list[int]]:
     Ties are broken in favor of the component containing the lowest
     node index.
     """
-    uf = _UnionFind(graph.n)
-    for a, b in graph.edges.tolist():
-        uf.union(a, b)
-    roots = [uf.find(v) for v in range(graph.n)]
-    sizes: dict[int, int] = {}
-    for r in roots:
-        sizes[r] = sizes.get(r, 0) + 1
-    best = max(sizes.values())
-    winner = next(r for r in roots if sizes[r] == best)  # lowest-index tie-break
-    members = [v for v in range(graph.n) if roots[v] == winner]
-    return best, members
+    roots, _ = _union_edges(graph.n, graph.edges)
+    sizes = np.bincount(roots)[roots]
+    best = int(sizes.max())
+    winner = roots[np.argmax(sizes == best)]  # lowest-index tie-break
+    return best, np.flatnonzero(roots == winner).tolist()
+
+
+def _union_edges(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Union-find over `edges` in row order, with path halving and union by size.
+
+    Returns each node's final root, and the largest component size after
+    each prefix of edges (index k: after the first k; index 0 is 1).
+    """
+    parent = list(range(n))
+    size = [1] * n
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    best = 1
+    bests = [best]
+    for a, b in edges.tolist():
+        a, b = find(a), find(b)
+        if a != b:
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+            best = max(best, size[a])
+        bests.append(best)
+    return np.array([find(v) for v in range(n)]), np.array(bests)
 
 
 def betweenness(graph: NetworkGraph, normalized: bool = True) -> np.ndarray:
@@ -332,52 +339,54 @@ def _random_order(graph: NetworkGraph, seed: int, trial: int) -> np.ndarray:
     return rng_stream(seed, 0xA7, trial).permutation(graph.n)
 
 
-def _percolation_passes(graph: NetworkGraph, scheme: str, trials: int, seed: int):
-    """Yield `_reverse_percolation` of each removal order, one pass alive at a time.
-
-    A random attack runs `trials` seeded orders; a static order runs once.
-    """
+def _removal_orders(graph: NetworkGraph, scheme: str, trials: int, seed: int):
+    """Yield the removal orders of an attack: `trials` seeded random orders, or one static order."""
     if scheme != "random":
-        yield _reverse_percolation(graph, removal_order(graph, scheme, seed))
+        yield removal_order(graph, scheme, seed)
         return
     for trial in range(trials):
-        yield _reverse_percolation(graph, _random_order(graph, seed, trial))
+        yield _random_order(graph, seed, trial)
 
 
-def _reverse_percolation(graph: NetworkGraph, order: np.ndarray):
-    """LCC size and Molloy-Reed tau for every removal prefix of `order`.
+def _survival_times(graph: NetworkGraph, order: np.ndarray) -> np.ndarray:
+    """Per edge, the earlier removal position t_e of its ends; the edge is present while at most t_e nodes are gone."""
+    position = np.empty(graph.n, dtype=np.int64)
+    position[order] = np.arange(graph.n)
+    return np.minimum(position[graph.edges[:, 0]], position[graph.edges[:, 1]])
 
-    Returns (lcc_size, tau) arrays indexed by the number of removed
-    nodes m = 0..n; computed by adding nodes back in reverse order.
+
+def _tau_by_removed(graph: NetworkGraph, order: np.ndarray) -> np.ndarray:
+    """Molloy-Reed tau of what survives each removal prefix of `order`, by removed count m = 0..n.
+
+    Going back in time, a node's degree grows by one at each of its edges'
+    survival times, so its half-edge of rank r (0 for the latest t_e) adds
+    2r + 1 to the sum of squared degrees. Both sums are exact integers, and
+    tau is 0 once no edge survives.
     """
     n = graph.n
-    adj = graph.adjacency
-    uf = _UnionFind(n)
-    present = [False] * n
-    degree = [0] * n
-    lcc = np.zeros(n + 1, dtype=np.int64)
-    tau = np.zeros(n + 1)
-    s1 = 0  # sum of surviving degrees
-    s2 = 0  # sum of their squares
-    best = 0
-    added = 0
-    for node in reversed(order.tolist()):
-        present[node] = True
-        added += 1
-        comp = 1
-        best = max(best, comp)
-        for u in adj[node]:
-            if present[u]:
-                s2 += 2 * degree[u] + 1 + 2 * degree[node] + 1
-                degree[u] += 1
-                degree[node] += 1
-                s1 += 2
-                comp = uf.union(node, u)
-                best = max(best, comp)
-        m = n - added
-        lcc[m] = best
-        tau[m] = s2 / s1 if s1 > 0 else 0.0
-    return lcc, tau
+    times = _survival_times(graph, order)
+    # half-edges grouped by node, latest survival time first
+    key = np.sort(graph.edges.T.ravel() * (n + 1) + (n - np.concatenate((times, times))))
+    degrees = graph.degrees()
+    rank = np.arange(key.size) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    s2 = np.bincount(n - key % (n + 1), weights=2 * rank + 1, minlength=n + 1)[::-1].cumsum()[::-1]
+    s1 = 2.0 * np.bincount(times, minlength=n + 1)[::-1].cumsum()[::-1]
+    return np.divide(s2, s1, out=np.zeros(n + 1), where=s1 > 0)
+
+
+def _lcc_by_removed(graph: NetworkGraph, order: np.ndarray) -> np.ndarray:
+    """Largest-component size of what survives each removal prefix of `order`, by removed count m = 0..n.
+
+    Edges are united in decreasing survival time; once every edge with
+    t_e >= m is in, the largest component is that of the graph with m
+    nodes gone, where a lone surviving node counts 1.
+    """
+    n = graph.n
+    times = _survival_times(graph, order)
+    _, bests = _union_edges(n, graph.edges[np.argsort(-times)])
+    lcc = bests[np.bincount(times, minlength=n + 1)[::-1].cumsum()[::-1]]
+    lcc[n] = 0
+    return lcc
 
 
 def simulate_attack(graph: NetworkGraph, plan: AttackPlan, step_count: int, seed: int) -> RemovalCurve:
@@ -397,18 +406,18 @@ def average_random_attack(graph: NetworkGraph, q: float, step_count: int, trials
 
 
 def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
-    """Response curve from 0 to q, averaged over the passes of `_percolation_passes`."""
+    """Response curve from 0 to q, averaged over the orders of `_removal_orders`."""
     if step_count < 2:
         raise ConfigError("step_count must be >= 2")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    fractions = np.linspace(0.0, q, step_count)
+    fractions = np.linspace(0.0, _attacked_fraction(q), step_count)
     removed = np.minimum(np.round(fractions * graph.n).astype(np.int64), graph.n)
     lcc_acc = np.zeros(step_count)
     tau_acc = np.zeros(step_count)
-    for lcc, tau in _percolation_passes(graph, scheme, trials, seed):
-        lcc_acc += lcc[removed] / graph.n
-        tau_acc += tau[removed]
+    for order in _removal_orders(graph, scheme, trials, seed):
+        lcc_acc += _lcc_by_removed(graph, order)[removed] / graph.n
+        tau_acc += _tau_by_removed(graph, order)[removed]
     return RemovalCurve(
         removed_fraction=fractions,
         lcc_fraction=lcc_acc / trials,
@@ -425,30 +434,12 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     """Empirical critical fraction: first q where surviving tau falls to <= 2.
 
     Random attacks are averaged over `trials` seeded orders; targeted
-    orders are deterministic, and scheme "exhaustive" (graphs with at
-    most 12 nodes) scans all removal sets for the smallest disruptive one.
+    orders are deterministic.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)
-    if scheme == "exhaustive":
-        return QcEstimate(_exhaustive_qc(graph), False)
-    crossings = [_first_crossing(tau) / graph.n for _, tau in _percolation_passes(graph, scheme, trials, seed)]
+    orders = _removal_orders(graph, scheme, trials, seed)
+    crossings = [_first_crossing(_tau_by_removed(graph, order)) / graph.n for order in orders]
     return QcEstimate(float(np.mean(crossings)), False)
-
-
-def _exhaustive_qc(graph: NetworkGraph) -> float:
-    if graph.n > 12:
-        raise ConfigError("exhaustive search is limited to graphs with <= 12 nodes")
-    nodes = range(graph.n)
-    for r in range(graph.n + 1):
-        for removed in itertools.combinations(nodes, r):
-            alive = np.ones(graph.n, dtype=bool)
-            alive[list(removed)] = False
-            mask = alive[graph.edges[:, 0]] & alive[graph.edges[:, 1]]
-            deg = np.bincount(graph.edges[mask].ravel(), minlength=graph.n).astype(float)
-            s1 = deg.sum()
-            if s1 == 0 or (deg**2).sum() / s1 <= 2.0:
-                return r / graph.n
-    return 1.0

@@ -1,6 +1,8 @@
 """Independent oracles shared by test modules."""
 
+import itertools
 import math
+from collections import Counter
 from typing import NamedTuple
 
 
@@ -49,3 +51,23 @@ def exact_stop_moments(p1, p0, risk, horizon=20000):
 def exact_mean_stop(p1, p0, risk, horizon=20000):
     """Exact expected stop index of the two-threshold sequential test."""
     return exact_stop_moments(p1, p0, risk, horizon).mean
+
+
+def min_disruptive_fraction(n, edges):
+    """Smallest fraction of the n nodes whose removal leaves Molloy-Reed tau <= 2.
+
+    Scans every removal set by size; tau is the sum of squared surviving
+    degrees over the sum of surviving degrees, and counts as 0 once no
+    edge survives, so removing all nodes always qualifies.
+    """
+    for r in range(n + 1):
+        for removed in itertools.combinations(range(n), r):
+            gone = set(removed)
+            degree = Counter()
+            for a, b in edges:
+                if a not in gone and b not in gone:
+                    degree[a] += 1
+                    degree[b] += 1
+            s1 = sum(degree.values())
+            if s1 == 0 or sum(k * k for k in degree.values()) / s1 <= 2.0:
+                return r / n

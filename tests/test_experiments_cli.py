@@ -1,6 +1,7 @@
 """CLI harness: CSV shape, reference rows, overrides, exit codes, determinism."""
 
 import ast
+import hashlib
 import inspect
 import math
 from dataclasses import fields
@@ -313,6 +314,7 @@ class TestExitCodes:
             ["m1", "--q_grid", "0.1:1:2.5"],
             ["operation-curves", "--mc_list", "2.7"],
             ["m1", "--q_grid", "0.5:1.5:3"],
+            ["m1", "--q_grid=-0.5:1:4"],
             ["worst-case", "--qc_grid", "0.5:1.5:3"],
         ],
         ids=" ".join,
@@ -357,3 +359,13 @@ class TestDeterminism:
         first = out.read_bytes()
         assert run(argv) == 0
         assert out.read_bytes() == first
+
+    def test_powergrid_numbers_pinned(self, toy_graph_path, tmp_path):
+        # digest of the CSV body (the non-'#' lines): a refactor that moves any number fails here
+        out = tmp_path / "pg.csv"
+        argv = ["powergrid", "--graph", toy_graph_path, "--trials", "5", "--steps", "5", "--out", str(out)]
+        assert run(argv) == 0
+        body = "".join(ln for ln in out.read_text().splitlines(keepends=True) if not ln.startswith("#"))
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "58929481db222638097ee788df169b090e5e3063f7df515ccc68098ab2346226"
+        )
