@@ -8,12 +8,16 @@ removal curve follows from these times: the Molloy-Reed ratio of the
 surviving subgraph by sorting and cumulative sums, and its largest
 component by one union-find pass over the edges in decreasing t_e
 (reverse percolation, Newman & Ziff 2000).
+
+Betweenness orders come from exact Brandes accumulation, run on flat
+(source, node) state arrays a batch of sources at a time after degree-1
+leaves are folded into their hubs; its scores are rounded to TIE_DIGITS
+significant digits before sorting, so float-noise ties break by index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +28,9 @@ from .errors import ConfigError
 from .sprt_engine import AttackPlan, _attacked_fraction
 
 REWIRE_SWEEPS = 100
+BRANDES_BATCH_STATES = 40_000  # flat (source, node) states plus half-edge scans per betweenness batch; bounds its memory
+TIE_DIGITS = 9
+SCHEMES = ("random", "degree", "intentional", "betweenness")
 
 
 class NetworkGraph:
@@ -50,16 +57,6 @@ class NetworkGraph:
         self.edges = np.column_stack((codes // self.n, codes % self.n))
         self.stubs_dropped = int(stubs_dropped)
         self.labels = None if labels is None else np.asarray(labels)
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists, each in ascending order; built on first use."""
-        # lower neighbors (from b's side) precede higher ones, so a stable sort keeps each list ascending
-        ends = np.concatenate((self.edges[:, 1], self.edges[:, 0]))
-        others = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
-        flat = others[np.argsort(ends, kind="stable")].tolist()
-        bounds = np.cumsum(self.degrees()).tolist()
-        return [flat[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
 
     @property
     def edge_count(self) -> int:
@@ -272,49 +269,91 @@ def _union_edges(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def betweenness(graph: NetworkGraph, normalized: bool = True) -> np.ndarray:
-    """Exact shortest-path betweenness (Brandes accumulation over BFS DAGs).
+    """Exact shortest-path betweenness: Brandes accumulation over batched BFS DAGs.
 
-    Normalization divides by the (n-1)(n-2) ordered node pairs that
+    Scores count ordered pairs (s, t), twice networkx's undirected raw
+    score; normalization divides by the (n-1)(n-2) ordered node pairs that
     exclude the vertex itself.
+
+    Leaf fold (Baglioni et al. 2012): a degree-1 node whose neighbour x is
+    not itself a leaf lies on no shortest path, and each of its paths runs
+    through x. Folding x's L_x leaves into it gives x the closed-form term
+    2·L_x·(N_C−2) − L_x·(L_x−1), N_C its component size, and a weight
+    c_x = 1 + L_x that Brandes applies to x as source and as target on the
+    graph without those leaves. Leaves, isolated nodes and the two ends of
+    a K2 component score 0.
+
+    Brandes (2001) then runs from every node with a remaining edge, a batch
+    of sources at a time, on flat states s·n + v. A level-synchronous BFS
+    emits each level's shortest-path DAG incidences and sums path counts σ
+    over them; the dependencies δ replay the levels in reverse. Per-node
+    sums follow the batch and level order, so the scores agree with
+    per-source Brandes to float rounding, not bit for bit; `removal_order`
+    rounds them to TIE_DIGITS significant digits before it sorts.
     """
     n = graph.n
-    adj = graph.adjacency
-    scores = [0.0] * n
-    dist = [-1] * n
-    sigma = [0.0] * n
-    delta = [0.0] * n
-    for s in range(n):
-        order = [s]
-        dist[s] = 0
-        sigma[s] = 1.0
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            dv1 = dist[v] + 1
-            sv = sigma[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv1
-                    order.append(w)
-                if dist[w] == dv1:
-                    sigma[w] += sv
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            dw = dist[w]
-            for v in adj[w]:
-                if dist[v] == dw - 1:
-                    delta[v] += sigma[v] * coeff
-            if w != s:
-                scores[w] += delta[w]
-        for v in order:
-            dist[v] = -1
-            sigma[v] = 0.0
-            delta[v] = 0.0
-    result = np.array(scores)
+    degrees = graph.degrees()
+    a, b = graph.edges.T
+    pendant = (degrees[a] == 1) | (degrees[b] == 1)  # leaf edges and K2 components
+    hub = np.where(degrees[a] == 1, b, a)[pendant]
+    leaves = np.bincount(hub[degrees[hub] > 1], minlength=n)
+    roots, _ = _union_edges(n, graph.edges)
+    component = np.bincount(roots)[roots]
+    scores = 2.0 * leaves * (component - 2) - leaves * (leaves - 1.0)
+    _brandes_batches(n, graph.edges[~pendant], 1.0 + leaves, scores)
     if normalized and n > 2:
-        result /= (n - 1) * (n - 2)
-    return result
+        scores /= (n - 1) * (n - 2)
+    return scores
+
+
+def _brandes_batches(n: int, edges: np.ndarray, weight: np.ndarray, scores: np.ndarray) -> None:
+    """Add to `scores` the weighted Brandes dependencies of every source with an edge in `edges`.
+
+    Sources go in batches sized so that the flat per-batch arrays hold
+    about BRANDES_BATCH_STATES entries. The CSR arrays keep, per half-edge,
+    the hop from its end to its other end, so a frontier state s·n + u
+    reaches s·n + v by adding v - u.
+    """
+    ends = np.concatenate((edges[:, 0], edges[:, 1]))
+    perm = np.argsort(ends, kind="stable")
+    hop = np.concatenate((edges[:, 1], edges[:, 0]))[perm] - ends[perm]
+    degree = np.bincount(ends, minlength=n)
+    indptr = np.cumsum(degree) - degree
+    del ends, perm  # the batches below set the peak memory
+    sources = np.flatnonzero(degree)
+    batch = max(1, BRANDES_BATCH_STATES // (n + hop.size))
+    for lo in range(0, sources.size, batch):
+        src = sources[lo:lo + batch]
+        origin = np.arange(src.size) * n + src
+        # 1 until a state is reached; int64, not bool, because numpy keeps freed blocks under
+        # 1 KiB cached per byte size, and masks of every length would pin that cache full
+        fresh = np.ones(src.size * n, dtype=np.int64)
+        sigma = np.zeros(src.size * n)
+        fresh[origin] = 0
+        sigma[origin] = 1.0
+        levels = []
+        front = origin
+        while front.size:
+            u = front % n
+            count = degree[u]
+            stop = np.cumsum(count)
+            # each frontier state with the CSR offset of its first half-edge, repeated per half-edge
+            tails, first = np.repeat(np.stack((front, indptr[u] - stop + count)), count, axis=1)
+            heads = tails + hop[first + np.arange(stop[-1])]
+            new = np.flatnonzero(fresh[heads])
+            tails, heads = tails[new], heads[new]
+            fresh[heads] = 0
+            np.add.at(sigma, heads, sigma[tails])
+            levels.append((tails, heads))
+            reached = np.zeros(src.size * n, dtype=bool)  # the next frontier, each state once
+            reached[heads] = True
+            front = np.flatnonzero(reached)
+        target = np.tile(weight, src.size)
+        delta = np.zeros(src.size * n)
+        for tails, heads in reversed(levels):
+            np.add.at(delta, tails, sigma[tails] * ((target[heads] + delta[heads]) / sigma[heads]))
+        delta[origin] = 0.0
+        scores += (weight[src, None] * delta.reshape(src.size, n)).sum(axis=0)
 
 
 def removal_order(graph: NetworkGraph, scheme: str, seed: int) -> np.ndarray:
@@ -323,15 +362,28 @@ def removal_order(graph: NetworkGraph, scheme: str, seed: int) -> np.ndarray:
     Random orders are seeded permutations, trial 0 of the orders that
     random-attack averages draw; degree and betweenness orders are
     static (computed once on the intact graph), descending, with index
-    tie-breaks.
+    tie-breaks. Betweenness scores are rounded to TIE_DIGITS significant
+    digits before sorting, so scores equal in exact arithmetic tie
+    whatever order their float sums ran in.
     """
+    _check_scheme(scheme)
     if scheme == "random":
         return _random_order(graph, seed, 0)
     if scheme in ("degree", "intentional"):
         return np.lexsort((np.arange(graph.n), -graph.degrees()))
-    if scheme == "betweenness":
-        return np.lexsort((np.arange(graph.n), -betweenness(graph)))
-    raise ConfigError(f"unknown attack scheme {scheme!r}")
+    return np.lexsort((np.arange(graph.n), -_round_significant(betweenness(graph), TIE_DIGITS)))
+
+
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown attack scheme {scheme!r}")
+
+
+def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
+    """Round each value to `digits` significant decimal digits; zeros stay zero."""
+    exponent = np.floor(np.log10(np.abs(x), out=np.zeros_like(x), where=x != 0))
+    scale = 10.0 ** (digits - 1 - exponent)
+    return np.round(x * scale) / scale
 
 
 def _random_order(graph: NetworkGraph, seed: int, trial: int) -> np.ndarray:
@@ -438,6 +490,7 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    _check_scheme(scheme)
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)
     orders = _removal_orders(graph, scheme, trials, seed)

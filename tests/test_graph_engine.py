@@ -1,6 +1,9 @@
 """Graph construction, ingestion, metrics, and attack simulation."""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import seqdef
 from seqdef import (
     AttackPlan,
     ConfigError,
@@ -25,7 +29,7 @@ from seqdef import (
     sample_degree_sequence,
     simulate_attack,
 )
-from seqdef.graph_engine import _lcc_by_removed, _removal_curve, _tau_by_removed
+from seqdef.graph_engine import BRANDES_BATCH_STATES, _lcc_by_removed, _removal_curve, _tau_by_removed
 
 from oracles import min_disruptive_fraction
 
@@ -44,7 +48,7 @@ class TestNetworkGraph:
         assert g.edge_count == 2
         assert g.self_loops_dropped == 1
         assert g.duplicates_dropped == 1
-        assert g.adjacency == [[1], [0, 2], [1], []]
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_degrees_and_tau(self):
         g = NetworkGraph(3, [(0, 1), (1, 2)])
@@ -238,6 +242,31 @@ def test_betweenness_matches_networkx(g):
     assert np.allclose(betweenness(g), [normalized[v] for v in range(g.n)], rtol=0, atol=1e-12)
 
 
+def test_betweenness_matches_networkx_across_batches():
+    # every case the leaf fold handles, on a graph whose sources span several batches
+    base = generate(DegreeModel.er(2.5, n=280), 280, seed=5)
+    star = [(280, v) for v in range(281, 286)]
+    pendant_path = [(0, 286), (286, 287), (287, 288), (288, 289)]
+    k2 = [(290, 291)]
+    g = NetworkGraph(300, np.concatenate((base.edges, star + pendant_path + k2)))  # 292..299 isolated
+    degrees = g.degrees()
+    assert (degrees == 1).sum() > 20 and (degrees == 0).sum() >= 8
+    inner = g.edges[(degrees[g.edges] > 1).all(axis=1)]  # what Brandes runs on after the fold
+    assert np.unique(inner).size > 2 * (BRANDES_BATCH_STATES // (g.n + inner.size))
+    graph = to_networkx(g)
+    raw = nx.betweenness_centrality(graph, normalized=False)
+    normalized = nx.betweenness_centrality(graph)
+    assert np.allclose(betweenness(g, normalized=False), [2 * raw[v] for v in range(g.n)], rtol=1e-12, atol=1e-12)
+    assert np.allclose(betweenness(g), [normalized[v] for v in range(g.n)], rtol=0, atol=1e-12)
+
+
+def test_import_leaves_scipy_out():
+    # the package's runtime dependency is numpy alone; scipy is a test-only dependency
+    src = Path(seqdef.__file__).resolve().parents[1]
+    code = "import sys, seqdef; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}).returncode == 0
+
+
 class TestBetweenness:
     def test_star_center_dominates(self):
         scores = betweenness(star_graph(4))
@@ -262,6 +291,10 @@ class TestBetweenness:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.12]
             g = NetworkGraph(n, edges) if edges else star_graph(4)
             n = g.n
+            neighbors = [[] for _ in range(n)]
+            for a, b in g.edges.tolist():
+                neighbors[a].append(b)
+                neighbors[b].append(a)
             dist = np.full((n, n), -1, dtype=int)
             sigma = np.zeros((n, n))
             for s in range(n):
@@ -271,7 +304,7 @@ class TestBetweenness:
                 while frontier:
                     nxt = []
                     for v in frontier:
-                        for w in g.adjacency[v]:
+                        for w in neighbors[v]:
                             if dist[s][w] < 0:
                                 dist[s][w] = dist[s][v] + 1
                                 nxt.append(w)
@@ -305,6 +338,21 @@ class TestRemovalOrder:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
             removal_order(star_graph(3), "entropy", seed=0)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (200, [(i, (i + 1) % 200) for i in range(200)]),  # cycle C_200
+            (200, [(i, (i + d) % 200) for i in range(200) for d in (1, 3)]),  # circulant C_200(1, 3)
+            (100, [(i, 10 * (i // 10) + (i + 1) % 10) for i in range(100)] + [(i, (i + 10) % 100) for i in range(100)]),
+        ],
+        ids=["cycle", "circulant", "torus"],
+    )
+    def test_betweenness_ties_break_by_index_on_vertex_transitive_graphs(self, n, edges):
+        # every node has the same score in exact arithmetic; float noise, which the cycle lacks
+        # and the circulant and 10x10 torus have, must not order them
+        g = NetworkGraph(n, edges)
+        assert list(removal_order(g, "betweenness", seed=0)) == list(range(n))
 
 
 class TestSimulateAttack:
@@ -409,3 +457,8 @@ class TestEstimateQc:
     def test_trials_validation(self):
         with pytest.raises(ConfigError):
             estimate_qc(star_graph(3), "random", trials=0, seed=0)
+
+    def test_unknown_scheme_rejected_on_subcritical_graph(self):
+        path4 = NetworkGraph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ConfigError):
+            estimate_qc(path4, "entropy", trials=3, seed=0)
