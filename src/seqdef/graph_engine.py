@@ -256,7 +256,7 @@ def _union_edges(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     best = 1
     bests = [best]
-    for a, b in edges.tolist():
+    for a, b in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):
         a, b = find(a), find(b)
         if a != b:
             if size[a] < size[b]:

@@ -21,6 +21,7 @@ attacked subset of the first M reporters).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,14 @@ ACCEPT_NULL = "accept_null"
 
 H0 = "h0"
 H1 = "h1"
+
+# Monte-Carlo stream layout: runs form chunks of ROW_CHUNK, each with its own
+# stream, and each chunk draws its reports in blocks of COL_BLOCK columns.
+# Together they fix which uniform feeds which (trial, report), so changing
+# either changes every `simulate_detection` summary.
+ROW_CHUNK = 4096
+COL_BLOCK = 512
+_FIRST_SUB_BLOCK = 8  # columns read first from each block; later sub-blocks double
 
 
 def normal_cdf(x: float) -> float:
@@ -357,6 +366,54 @@ def _report_blocks(plan, detector, truth, m_c, width):
             yield start, min(start + width, seg_stop), success, z1, z0
 
 
+def _detection_chunk(blocks, log_a, log_b, m_c, rows, rng):
+    """Run `rows` tests on `rng`'s stream.
+
+    Returns (ta, tn, ua, un, stop_sum, stop_max): attack and null verdicts at
+    a threshold, attack and null verdicts at truncation, and the sum and
+    maximum of the stop indices.
+    """
+    lam = np.zeros(rows)  # LLR of each undecided run, in run order
+    ta = tn = stop_sum = stop_max = 0
+    for start, stop_col, success, z1, z0 in blocks:
+        if lam.size == 0:
+            break
+        if z1 == 0.0 and z0 == 0.0:
+            # inert columns: the LLR is frozen, no decision can occur
+            continue
+        u = rng.random((lam.size, stop_col - start))
+        live = np.arange(lam.size)  # rows of u still undecided
+        carry = np.zeros(lam.size)  # their LLR sums over the block's columns before lo
+        lo, width = 0, _FIRST_SUB_BLOCK
+        while lo < u.shape[1] and live.size:
+            hi = min(lo + width, u.shape[1])
+            zs = np.where(u[live, lo:hi] < success, z1, z0)
+            zs[:, 0] += carry
+            sums = np.cumsum(zs, axis=1)
+            path = lam[live, None] + sums
+            hit_a = path >= log_a
+            hit = hit_a | (path <= log_b)
+            any_hit = hit.any(axis=1)
+            decided = np.flatnonzero(any_hit)
+            if decided.size:
+                first = np.argmax(hit[decided], axis=1)
+                attacks = int(hit_a[decided, first].sum())
+                ta += attacks
+                tn += decided.size - attacks
+                stop_sum += int(first.sum()) + decided.size * (start + lo + 1)
+                stop_max = max(stop_max, start + lo + 1 + int(first.max()))
+            kept = ~any_hit
+            live, carry = live[kept], sums[kept, -1]
+            lo, width = hi, 2 * width
+        lam = lam[live] + carry
+    # forced decision for still-undecided runs: attack iff the LLR is positive
+    ua = int((lam > 0.0).sum())
+    if lam.size:
+        stop_sum += m_c * lam.size
+        stop_max = m_c
+    return ta, tn, ua, lam.size - ua, stop_sum, stop_max
+
+
 def simulate_detection(
     plan: AttackPlan,
     detector: DetectorProfile,
@@ -371,6 +428,18 @@ def simulate_detection(
     Reports are Bernoulli(a_i * p_d) under H1 and Bernoulli(p_f) under
     H0; each run steps until a threshold crossing or the forced decision
     at m_c. Deterministic given (seed, parameters).
+
+    Stream contract: trials form chunks of ROW_CHUNK runs, chunk k drawing
+    from `rng_stream(seed, 0x5D, k)`. Within a chunk, each block of up to
+    COL_BLOCK informative report columns draws one row-major uniform
+    matrix (undecided runs x block width); inert columns draw nothing. The
+    block is then read lazily, in sub-blocks of columns that start at 8
+    and double, over the runs still undecided, so no work is spent on
+    reports after a decision. The LLR of a run is the sequential sum of its
+    report LLRs, block by block, exactly as one cumulative sum per block
+    would give. Chunks run on a thread pool of one worker per usable CPU
+    and are combined in chunk order, so the summary is bit-identical for
+    any CPU count.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -378,65 +447,30 @@ def simulate_detection(
         raise ConfigError("report budget m_c must be >= 1")
     if truth not in (H0, H1):
         raise ConfigError("truth must be 'h0' or 'h1'")
-    log_a, log_b = risk.log_a, risk.log_b
+    blocks = list(_report_blocks(plan, detector, truth, m_c, COL_BLOCK))
+    chunks = range(-(-trials // ROW_CHUNK))
 
-    counts = {"ta": 0, "tn": 0, "ua": 0, "un": 0}
-    stop_sum = 0.0
-    stop_max = 0
-    row_chunk = 4096
-    col_block = 512
+    def run_chunk(k):
+        rows = min(ROW_CHUNK, trials - k * ROW_CHUNK)
+        return _detection_chunk(blocks, risk.log_a, risk.log_b, m_c, rows, rng_stream(seed, 0x5D, k))
 
-    for chunk_index, chunk_start in enumerate(range(0, trials, row_chunk)):
-        rows = min(row_chunk, trials - chunk_start)
-        rng = rng_stream(seed, 0x5D, chunk_index)
-        lam = np.zeros(rows)
-        active = np.arange(rows)
-        stop = np.full(rows, m_c, dtype=np.int64)
-        verdict = np.zeros(rows, dtype=np.int8)  # 0 undecided, 1 attack, -1 null
+    workers = min(len(os.sched_getaffinity(0)), len(chunks))
+    if workers > 1:
+        # imported here: concurrent.futures pulls in logging, which `import seqdef` avoids
+        from concurrent.futures import ThreadPoolExecutor
 
-        for start, stop_col, success, z1, z0 in _report_blocks(plan, detector, truth, m_c, col_block):
-            if active.size == 0:
-                break
-            width = stop_col - start
-            if z1 == 0.0 and z0 == 0.0:
-                # inert columns: the LLR is frozen, no decision can occur
-                continue
-            bits = rng.random((active.size, width)) < success
-            zs = np.where(bits, z1, z0)
-            path = lam[active, None] + np.cumsum(zs, axis=1)
-            hit_a = path >= log_a
-            hit_b = path <= log_b
-            hit = hit_a | hit_b
-            any_hit = hit.any(axis=1)
-            first = np.argmax(hit, axis=1)
-            decided_rows = active[any_hit]
-            if decided_rows.size:
-                first_hit = first[any_hit]
-                stop[decided_rows] = start + first_hit + 1
-                attack = hit_a[np.flatnonzero(any_hit), first_hit]
-                verdict[decided_rows] = np.where(attack, 1, -1)
-            lam[active] = path[:, -1]
-            active = active[~any_hit]
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(run_chunk, chunks))
+    else:
+        results = [run_chunk(k) for k in chunks]
 
-        # forced decision for still-active rows: attack iff the LLR is positive
-        if active.size:
-            verdict[active] = np.where(lam[active] > 0.0, 1, -1)
-        undecided = np.zeros(rows, dtype=bool)
-        undecided[active] = True
-
-        counts["ta"] += int(((verdict == 1) & ~undecided).sum())
-        counts["tn"] += int(((verdict == -1) & ~undecided).sum())
-        counts["ua"] += int(((verdict == 1) & undecided).sum())
-        counts["un"] += int(((verdict == -1) & undecided).sum())
-        stop_sum += float(stop.sum())
-        stop_max = max(stop_max, int(stop.max()))
-
+    ta, tn, ua, un, stop_sum = (sum(result[i] for result in results) for i in range(5))
     return DetectionSummary(
         trials=trials,
         mean_stop_index=stop_sum / trials,
-        max_stop_index=stop_max,
-        threshold_attack=counts["ta"],
-        threshold_null=counts["tn"],
-        truncated_attack=counts["ua"],
-        truncated_null=counts["un"],
+        max_stop_index=max(result[5] for result in results),
+        threshold_attack=ta,
+        threshold_null=tn,
+        truncated_attack=ua,
+        truncated_null=un,
     )

@@ -1,6 +1,9 @@
 """Sequential test: likelihood ratios, decisions, report counts, bounds."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +11,11 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqdef
 from seqdef import (
     AttackPlan,
     ConfigError,
+    DetectionSummary,
     DetectorProfile,
     NumericalError,
     RiskBudget,
@@ -352,6 +357,65 @@ class TestSimulateDetection:
         sim = simulate_detection(plan, det, RISK, 3, 2000, seed=1, truth="h1")
         assert sim.truncated_attack + sim.truncated_null > 0
         assert sim.trials == sim.threshold_attack + sim.threshold_null + sim.truncated_attack + sim.truncated_null
+
+    # Exact summaries: a change to the random stream, its chunk and block layout, or
+    # the order of the LLR sums fails here.
+    # (plan, detector, m_c, trials, seed, truth) -> (mean stop, max stop, ta, tn, ua, un)
+    PINNED = {
+        # three chunks of ROW_CHUNK runs, the last one partial
+        "three_chunks": (
+            (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 10**4, 9000, 11, "h1"),
+            (20.349888888888888, 151, 8990, 10, 0, 0),
+        ),
+        # stops past the first COL_BLOCK columns, and truncation at m_c
+        "past_col_block_h1": (
+            (AttackPlan("random", 0.05, 10**4), (0.5, 0.01), 1500, 3000, 12, "h1"),
+            (596.2713333333334, 1500, 2847, 3, 121, 29),
+        ),
+        "past_col_block_h0": (
+            (AttackPlan("random", 0.05, 10**4), (0.5, 0.01), 1500, 3000, 13, "h0"),
+            (1057.125, 1500, 20, 2382, 20, 578),
+        ),
+        # M = 37 lies inside the third sub-block (columns 24..55); inert columns follow
+        "targeted_h1": (
+            (AttackPlan("intentional", 0.0037, 10**4), (0.3, 0.1), 60, 5000, 14, "h1"),
+            (32.6072, 60, 3488, 0, 1266, 246),
+        ),
+        "targeted_h0": (
+            (AttackPlan("intentional", 0.0037, 10**4), (0.3, 0.1), 60, 5000, 15, "h0"),
+            (55.2922, 60, 23, 784, 307, 3886),
+        ),
+        "truncated_m3": (
+            (AttackPlan("random", 0.9, 100), (0.3, 0.2), 3, 2000, 1, "h1"),
+            (3.0, 3, 0, 0, 1228, 772),
+        ),
+    }
+
+    @staticmethod
+    def _pinned(name):
+        (plan, det, m_c, trials, seed, truth), numbers = TestSimulateDetection.PINNED[name]
+        summary = simulate_detection(plan, DetectorProfile(*det), RISK, m_c, trials, seed, truth=truth)
+        return summary, DetectionSummary(trials, *numbers)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_summary_pinned(self, name):
+        summary, expected = self._pinned(name)
+        assert summary == expected
+
+    def test_summary_independent_of_cpu_count(self):
+        # one usable CPU means one worker; the summary must match the threaded run
+        code = (
+            "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from seqdef import AttackPlan, DetectorProfile, RiskBudget, simulate_detection; "
+            "print(repr(simulate_detection(AttackPlan('random', 0.3, 10**4), DetectorProfile(0.5, 0.01), "
+            "RiskBudget(0.01, 0.001), 10**4, 9000, 11, truth='h1')))"
+        )
+        src = Path(seqdef.__file__).resolve().parents[1]
+        child = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
+        )
+        summary, expected = self._pinned("three_chunks")
+        assert child.stdout.strip() == repr(expected) == repr(summary)
 
     def test_validation(self):
         det = DetectorProfile(0.5, 0.01)
