@@ -33,30 +33,49 @@ TIE_DIGITS = 9
 SCHEMES = ("random", "degree", "intentional", "betweenness")
 
 
+def _whole(values, what: str) -> np.ndarray:
+    """`values` as int64; ConfigError unless every entry is a whole number."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.float64)
+        if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+            raise ConfigError(f"{what} must be whole numbers")
+    return arr.astype(np.int64, copy=False)
+
+
 class NetworkGraph:
     """Simple undirected graph over node indices 0..n-1.
 
     The constructor canonicalizes raw edges into `edges`, the one stored
     representation: rows (a, b) with a < b, sorted, with self-loops and
-    duplicates dropped and counted. Instances are treated as immutable
-    once built.
+    duplicates dropped and counted. Duplicates are found by sorting the
+    pair codes a*n + b and keeping each code that differs from the one
+    before it. `n` and the endpoints must be whole numbers, `edges` must
+    be (u, v) rows, and `labels`, when given, holds one id per node.
+    Instances are treated as immutable once built.
     """
 
     def __init__(self, n, edges, *, labels=None, stubs_dropped=0):
-        if n < 1:
+        self.n = int(_whole(n, "node count"))
+        if self.n < 1:
             raise ConfigError("graph needs at least one node")
-        self.n = int(n)
-        raw = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        raw = _whole(edges, "edge endpoints")
+        if raw.size and (raw.ndim != 2 or raw.shape[1] != 2):
+            raise ConfigError(f"edges must be (u, v) rows, got shape {raw.shape}")
+        raw = raw.reshape(-1, 2)
         if raw.size and (raw.min() < 0 or raw.max() >= self.n):
             raise ConfigError("edge endpoint outside [0, n)")
         loops = raw[:, 0] == raw[:, 1]
         self.self_loops_dropped = int(loops.sum())
         raw = raw[~loops]
-        codes = np.unique(np.minimum(raw[:, 0], raw[:, 1]) * self.n + np.maximum(raw[:, 0], raw[:, 1]))
+        codes = np.sort(np.minimum(raw[:, 0], raw[:, 1]) * self.n + np.maximum(raw[:, 0], raw[:, 1]))
+        codes = codes[np.diff(codes, prepend=-1) != 0]  # first copy of each code; empty stays empty
         self.duplicates_dropped = int(raw.shape[0] - codes.size)
         self.edges = np.column_stack((codes // self.n, codes % self.n))
         self.stubs_dropped = int(stubs_dropped)
         self.labels = None if labels is None else np.asarray(labels)
+        if self.labels is not None and self.labels.shape != (self.n,):
+            raise ConfigError(f"labels must hold one id per node ({self.n}), got shape {self.labels.shape}")
 
     @property
     def edge_count(self) -> int:
@@ -133,31 +152,40 @@ def _configuration_model(degrees: np.ndarray, n: int, rng: np.random.Generator):
     accepted edges back into the stub pool, which escapes dead ends such
     as two leftover stubs of one node. Residual stubs are dropped and
     counted.
+
+    Conflicts are found by sorting: a sweep's pair codes a*n + b are
+    ranked by a stable argsort, the first copy of a code wins, and
+    membership is tested with `searchsorted` against `seen`, a sorted
+    mirror of the accepted codes that ends in the sentinel n*n. `accepted`
+    itself keeps insertion order, because the dissolve choice picks
+    pairings by their index in it.
     """
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     if stubs.size % 2 == 1:
         raise ConfigError("degree sequence has odd sum")
     accepted = np.empty(0, dtype=np.int64)
+    seen = np.array([n * n], dtype=np.int64)  # every code a*n + b is below n*n
     for _ in range(REWIRE_SWEEPS):
         if stubs.size == 0:
             break
         rng.shuffle(stubs)
         u, v = stubs[0::2], stubs[1::2]
-        a, b = np.minimum(u, v), np.maximum(u, v)
-        codes = a * n + b
-        keep = a != b
-        first = np.zeros(codes.size, dtype=bool)
-        _, first_idx = np.unique(codes, return_index=True)
-        first[first_idx] = True
-        keep &= first
-        keep &= ~np.isin(codes, accepted)
+        codes = np.minimum(u, v) * n + np.maximum(u, v)
+        order = np.argsort(codes, kind="stable")
+        ranked = codes[order]
+        at = np.searchsorted(seen, ranked)
+        fresh = (u[order] != v[order]) & (seen[at] != ranked) & (np.diff(ranked, prepend=-1) != 0)
+        keep = np.zeros(codes.size, dtype=bool)
+        keep[order[fresh]] = True
         accepted = np.concatenate((accepted, codes[keep]))
+        seen = np.insert(seen, at[fresh], ranked[fresh])
         stubs = np.concatenate((u[~keep], v[~keep]))
         if stubs.size and not keep.any() and accepted.size:
             dissolve = min(accepted.size, max(4, stubs.size))
             picks = rng.choice(accepted.size, size=dissolve, replace=False)
             freed = accepted[picks]
             accepted = np.delete(accepted, picks)
+            seen = np.delete(seen, np.searchsorted(seen, freed))
             stubs = np.concatenate((stubs, freed // n, freed % n))
     edges = np.column_stack((accepted // n, accepted % n))
     return edges, int(stubs.size)
@@ -181,8 +209,12 @@ def generate(model: DegreeModel, n: int, seed: int) -> NetworkGraph:
 
 
 def generate_from_sequence(degrees, seed: int) -> NetworkGraph:
-    """Configuration-model graph from an explicit degree sequence."""
-    degrees = np.asarray(degrees, dtype=np.int64)
+    """Configuration-model graph from an explicit 1-D sequence of whole, non-negative degrees."""
+    degrees = _whole(degrees, "degrees")
+    if degrees.ndim != 1:
+        raise ConfigError(f"degree sequence must be 1-D, got shape {degrees.shape}")
+    if np.any(degrees < 0):
+        raise ConfigError("degree sequence has a negative entry")
     n = degrees.size
     if n < 2:
         raise ConfigError("graph generation needs n >= 2")

@@ -1,8 +1,10 @@
 """Graph construction, ingestion, metrics, and attack simulation."""
 
+import hashlib
 import itertools
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import networkx as nx
@@ -59,6 +61,48 @@ class TestNetworkGraph:
         with pytest.raises(ConfigError):
             NetworkGraph(3, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "n, edges, labels",
+        [
+            (2.7, [(0, 1)], None),  # was built with 2 nodes
+            (3, [(0.5, 1.9)], None),  # was the edge (0, 1)
+            (3, [(0, float("nan"))], None),
+            (3, [(0, 1, 2), (1, 2, 0)], None),  # was re-paired into (0, 1), (2, 1), (2, 0)
+            (3, [0, 1, 2], None),
+            (3, [(0, 1)], [5]),  # edge_text() then raised IndexError
+            (3, [(0, 1)], [[1, 2, 3]]),
+        ],
+    )
+    def test_bad_inputs_rejected(self, n, edges, labels):
+        with pytest.raises(ConfigError):
+            NetworkGraph(n, edges, labels=labels)
+
+    def test_whole_float_inputs_accepted(self):
+        g = NetworkGraph(3.0, [(0.0, 2.0)], labels=[7, 8, 9])
+        assert g.n == 3 and g.edges.tolist() == [[0, 2]]
+
+
+@st.composite
+def raw_edge_lists(draw):
+    # empty lists and lists of self-loops only leave no pair codes at all
+    n = draw(st.integers(min_value=1, max_value=8))
+    node = st.integers(0, n - 1)
+    loops = st.lists(node.map(lambda v: (v, v)), max_size=4)
+    pairs = st.lists(st.tuples(node, node), max_size=3 * n)
+    return n, draw(st.one_of(st.just([]), loops, pairs))
+
+
+@settings(deadline=None)
+@given(case=raw_edge_lists())
+def test_canonicalization_matches_set_oracle(case):
+    n, raw = case
+    g = NetworkGraph(n, raw)
+    counts = Counter((min(a, b), max(a, b)) for a, b in raw if a != b)
+    assert g.edges.tolist() == [list(pair) for pair in sorted(counts)]
+    assert g.edges.dtype == np.int64 and g.edges.shape == (len(counts), 2)
+    assert g.self_loops_dropped == sum(a == b for a, b in raw)
+    assert g.duplicates_dropped == sum(counts.values()) - len(counts)
+
 
 class TestGenerate:
     def test_er_mean_degree(self):
@@ -88,6 +132,48 @@ class TestGenerate:
     def test_odd_sum_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
             generate_from_sequence([1, 1, 1], seed=0)
+
+    @pytest.mark.parametrize(
+        "degrees, match",
+        [
+            ([2, 2, 2.7], "whole"),  # was truncated to a triangle
+            ([1.5, 1.5, 1], "whole"),  # was reported as an odd sum
+            ([-1, 1, 2], "negative"),  # was a bare ValueError from np.repeat
+            ([[1, 1], [1, 1]], "1-D"),  # was 'object too deep'
+        ],
+    )
+    def test_bad_degree_sequence_rejected(self, degrees, match):
+        with pytest.raises(ConfigError, match=match):
+            generate_from_sequence(degrees, seed=0)
+
+    # sha256 of edges.tobytes() and stubs_dropped: the conflict checks decide which stubs
+    # the next shuffle sees and which pairings a dissolve frees, so any rewrite of them
+    # must reproduce every draw
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("one_sweep", ("d96ed50af1d832b35adea28a6ab23eae2f8bb0967465c06b0b0c721fb0647be8", 0)),
+            ("later_sweeps", ("1c82be473ce4cb2231fbb929141303e0cc2b7b929cc372ba4cd62f4f6c9fe4c4", 0)),
+            ("dissolve", ("216df43fb91be6c2ffe0e25096e463536716c45c5ba66b5fbb94eec75f4ee846", 0)),
+            ("residual", ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 6)),
+            ("power_law_1e4", ("d75175782712b677b813c1fce889116f5aeff1624b6b7971583794a2d47d2db7", 0)),
+        ],
+    )
+    def test_configuration_model_pinned(self, case, expected):
+        if case == "power_law_1e4":
+            g = generate(DegreeModel.power_law(2.5, k_min=1, k_max=100), 10**4, seed=0)
+        else:
+            seq, seed = {
+                "one_sweep": ([3, 3, 2, 2, 2, 1, 1, 2], 0),  # matched in the first sweep
+                "later_sweeps": (
+                    sample_degree_sequence(DegreeModel.power_law(2.5, k_max=40, n=2000), 2000, seed=2),
+                    2,
+                ),  # a second sweep re-draws the conflicts
+                "dissolve": ([4] * 6, 3),  # 25 sweeps, 9 of them dissolve accepted edges
+                "residual": ([4, 2], 0),  # no simple graph exists; all 6 stubs are dropped
+            }[case]
+            g = generate_from_sequence(seq, seed)
+        assert (hashlib.sha256(g.edges.tobytes()).hexdigest(), g.stubs_dropped) == expected
 
 
 class TestLoadEdgeList:
