@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 from .degree_models import DegreeModel, moments
 from .errors import ConfigError, InfeasibleError, NumericalError, SubcriticalError
-from .graph_engine import _lcc_by_removed, average_random_attack, load_edge_list, removal_order, simulate_attack
+from .graph_engine import average_random_attack, load_edge_list, simulate_attack
 from .percolation_analytic import qc_intentional, qc_random
 from .robust_design import min_detection
 from .sprt_engine import (
@@ -295,9 +295,10 @@ def cmd_powergrid(config: ExperimentConfig) -> str:
             _fmt(float(random_curve.lcc_fraction[i])), _fmt(float(random_curve.remaining_tau[i])),
             "", "", "", "",
         ])
+    curves = {}
     for scheme in ("degree", "betweenness"):
         plan = AttackPlan("intentional" if scheme == "degree" else scheme, config.q, graph.n)
-        curve = simulate_attack(graph, plan, config.steps, config.seed)
+        curve = curves[scheme] = simulate_attack(graph, plan, config.steps, config.seed)
         for i in range(len(curve)):
             rows.append([
                 "curve", scheme, _fmt(float(curve.removed_fraction[i])),
@@ -306,15 +307,15 @@ def cmd_powergrid(config: ExperimentConfig) -> str:
             ])
     # detection markers: reports needed for a targeted attack, and the
     # surviving largest component when exactly that many top-degree nodes
-    # are already gone (the undetectable region boundary)
-    lcc_by_removed = _lcc_by_removed(graph, removal_order(graph, "degree", config.seed))
+    # are already gone (the undetectable region boundary), read from the
+    # degree curve's own pass
     for pd in parse_grid(config.pd_grid):
         det = DetectorProfile(pd, config.pf)
         m1 = expected_reports_intentional(det, risk)
         boundary = min(graph.n, ceil_count(m1))
         rows.append([
             "m1", "degree", "", "", "", _fmt(pd), _fmt(m1),
-            _fmt(m1 / graph.n), _fmt(float(lcc_by_removed[boundary]) / graph.n),
+            _fmt(m1 / graph.n), _fmt(float(curves["degree"].lcc_by_removed[boundary])),
         ])
     return _render(config, columns, rows)
 

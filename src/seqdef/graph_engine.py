@@ -9,14 +9,19 @@ surviving subgraph by sorting and cumulative sums, and its largest
 component by one union-find pass over the edges in decreasing t_e
 (reverse percolation, Newman & Ziff 2000).
 
-Betweenness orders come from exact Brandes accumulation, run on flat
-(source, node) state arrays a batch of sources at a time after degree-1
-leaves are folded into their hubs; its scores are rounded to TIE_DIGITS
-significant digits before sorting, so float-noise ties break by index.
+Betweenness orders come from exact scores. Every hanging tree is peeled
+away and scored by one closed form in its sizes; exact Brandes
+accumulation then runs on the 2-core alone, on flat (source, node) state
+arrays a batch of sources at a time, in fixed groups of sources spread
+over forked worker processes. The groups are fixed by the graph, not by
+the CPU count, so the float sums and the scores are the same on any
+machine. The scores are rounded to TIE_DIGITS significant digits before
+sorting, so float-noise ties break by index.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +34,7 @@ from .sprt_engine import AttackPlan, _attacked_fraction
 
 REWIRE_SWEEPS = 100
 BRANDES_BATCH_STATES = 40_000  # flat (source, node) states plus half-edge scans per betweenness batch; bounds its memory
+BRANDES_GROUP_SOURCES = 256  # betweenness sources per worker task; fixed, so scores never depend on the CPU count
 TIE_DIGITS = 9
 SCHEMES = ("random", "degree", "intentional", "betweenness")
 
@@ -106,11 +112,16 @@ class NetworkGraph:
 
 @dataclass(frozen=True)
 class RemovalCurve:
-    """Attack response sampled at increasing removed fractions."""
+    """Attack response sampled at increasing removed fractions.
+
+    `lcc_by_removed` is the unsampled largest-component fraction, by
+    removed node count m = 0..n; `lcc_fraction` is read from it.
+    """
 
     removed_fraction: np.ndarray
     lcc_fraction: np.ndarray
     remaining_tau: np.ndarray
+    lcc_by_removed: np.ndarray
 
     def __len__(self):
         return len(self.removed_fraction)
@@ -198,6 +209,7 @@ def generate(model: DegreeModel, n: int, seed: int) -> NetworkGraph:
     the other kinds go through a sampled degree sequence and stub
     matching (configuration model).
     """
+    n = int(_whole(n, "node count"))
     if n < 2:
         raise ConfigError("graph generation needs n >= 2")
     if model.kind == ER:
@@ -301,61 +313,150 @@ def _union_edges(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def betweenness(graph: NetworkGraph, normalized: bool = True) -> np.ndarray:
-    """Exact shortest-path betweenness: Brandes accumulation over batched BFS DAGs.
+    """Exact shortest-path betweenness: hanging trees in closed form, Brandes on the 2-core.
 
     Scores count ordered pairs (s, t), twice networkx's undirected raw
     score; normalization divides by the (n-1)(n-2) ordered node pairs that
     exclude the vertex itself.
 
-    Leaf fold (Baglioni et al. 2012): a degree-1 node whose neighbour x is
-    not itself a leaf lies on no shortest path, and each of its paths runs
-    through x. Folding x's L_x leaves into it gives x the closed-form term
-    2·L_x·(N_C−2) − L_x·(L_x−1), N_C its component size, and a weight
-    c_x = 1 + L_x that Brandes applies to x as source and as target on the
-    graph without those leaves. Leaves, isolated nodes and the two ends of
-    a K2 component score 0.
+    Tree fold (Baglioni et al. 2012, from single leaves to whole trees):
+    peeling degree-1 nodes until none is left leaves the 2-core, and a tree
+    component peels away entirely. Each node v then roots a tree of s_v
+    nodes, itself and everything peeled into it, whose child subtrees have
+    squared sizes summing to q_v. A shortest path runs through v if its
+    ends lie in two different child subtrees, or one inside the tree below
+    v and one outside the tree, so v scores
 
-    Brandes (2001) then runs from every node with a remaining edge, a batch
-    of sources at a time, on flat states s·n + v. A level-synchronous BFS
-    emits each level's shortest-path DAG incidences and sums path counts σ
-    over them; the dependencies δ replay the levels in reverse. Per-node
-    sums follow the batch and level order, so the scores agree with
-    per-source Brandes to float rounding, not bit for bit; `removal_order`
-    rounds them to TIE_DIGITS significant digits before it sorts.
+        (s_v - 1)² - q_v + 2 (s_v - 1) (N_C - s_v)
+
+    from those pairs, N_C being the size of its component. For a node
+    outside the 2-core that is the whole score; it is 0 for isolated nodes
+    and for both ends of a K2. Every other shortest path
+    joins the hanging trees of two distinct 2-core nodes a and b inside the
+    core, so Brandes runs on the 2-core alone, relabelled 0..m-1, with
+    weight s as source and as target (`_brandes_batches`).
     """
     n = graph.n
-    degrees = graph.degrees()
-    a, b = graph.edges.T
-    pendant = (degrees[a] == 1) | (degrees[b] == 1)  # leaf edges and K2 components
-    hub = np.where(degrees[a] == 1, b, a)[pendant]
-    leaves = np.bincount(hub[degrees[hub] > 1], minlength=n)
+    indptr, degree, neighbour = _csr(n, graph.edges)
+    size, squares, core = _peel_trees(indptr, degree, neighbour)
     roots, _ = _union_edges(n, graph.edges)
     component = np.bincount(roots)[roots]
-    scores = 2.0 * leaves * (component - 2) - leaves * (leaves - 1.0)
-    _brandes_batches(n, graph.edges[~pendant], 1.0 + leaves, scores)
+    scores = (size - 1.0) ** 2 - squares + 2.0 * (size - 1.0) * (component - size)
+    if core.any():  # a forest has no 2-core
+        index = np.cumsum(core) - 1
+        inner = graph.edges[core[graph.edges].all(axis=1)]
+        scores[core] += _brandes_batches(int(core.sum()), index[inner], size[core].astype(np.float64))
     if normalized and n > 2:
         scores /= (n - 1) * (n - 2)
     return scores
 
 
-def _brandes_batches(n: int, edges: np.ndarray, weight: np.ndarray, scores: np.ndarray) -> None:
-    """Add to `scores` the weighted Brandes dependencies of every source with an edge in `edges`.
-
-    Sources go in batches sized so that the flat per-batch arrays hold
-    about BRANDES_BATCH_STATES entries. The CSR arrays keep, per half-edge,
-    the hop from its end to its other end, so a frontier state s·n + u
-    reaches s·n + v by adding v - u.
-    """
+def _csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR adjacency of an edge array: (indptr, degree, neighbour), half-edges grouped by node."""
     ends = np.concatenate((edges[:, 0], edges[:, 1]))
-    perm = np.argsort(ends, kind="stable")
-    hop = np.concatenate((edges[:, 1], edges[:, 0]))[perm] - ends[perm]
+    neighbour = np.concatenate((edges[:, 1], edges[:, 0]))[np.argsort(ends, kind="stable")]
     degree = np.bincount(ends, minlength=n)
-    indptr = np.cumsum(degree) - degree
-    del ends, perm  # the batches below set the peak memory
-    sources = np.flatnonzero(degree)
+    return np.cumsum(degree) - degree, degree, neighbour
+
+
+def _peel_trees(indptr: np.ndarray, degree: np.ndarray, neighbour: np.ndarray):
+    """Peel degree-1 nodes, a round of current leaves at a time, until none is left.
+
+    Returns per node the size s of the tree it roots (itself plus
+    everything peeled into it) and the sum q of its child subtrees'
+    squared sizes, both int64, and the 2-core mask. Each leaf is peeled
+    into its one neighbour not yet peeled. When a tree component is down
+    to two nodes, both are leaves of the same round and each is peeled
+    into the other, so each ends up with the sizes of the whole tree
+    rooted at itself, which is what its score needs.
+    """
+    left = degree.copy()  # edges to nodes not yet peeled; at most 0 once peeled
+    size = np.ones(degree.size, dtype=np.int64)
+    squares = np.zeros(degree.size, dtype=np.int64)
+    leaves = np.flatnonzero(left == 1)
+    while leaves.size:
+        count = degree[leaves]
+        stop = np.cumsum(count)
+        near = neighbour[np.repeat(indptr[leaves] - stop + count, count) + np.arange(stop[-1])]
+        parent = near[left[near] > 0]  # exactly one per leaf, in leaf order
+        peeled = size[leaves]  # read before the adds: the two ends of a K2 are each other's parent
+        left[leaves] = 0
+        np.subtract.at(left, parent, 1)
+        np.add.at(size, parent, peeled)
+        np.add.at(squares, parent, peeled**2)
+        leaves = np.sort(parent[left[parent] == 1])
+        leaves = leaves[np.diff(leaves, prepend=-1) != 0]  # not np.unique: its first call adds 0.9 MB of RSS
+    return size, squares, left > 0
+
+
+def _brandes_batches(n: int, edges: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Weighted Brandes scores on a graph in which every node has an edge.
+
+    Source s adds weight[s] · δ_s(v) to node v, where δ_s(v) sums, over
+    targets t, weight[t] times the share of s-t shortest paths through v.
+    The sources are split into contiguous groups of BRANDES_GROUP_SOURCES
+    and each group returns one partial score vector; the parent adds the
+    partials in group order. Float sums depend on their order, so the
+    split depends on the graph alone, never on the CPU count: the scores
+    are the same bit for bit whether the groups run inline (one usable
+    CPU or one group) or in forked worker processes, one per usable CPU.
+    Fork lets the workers inherit the imported package, and is safe here
+    because the package holds no thread between calls (the detection pool
+    is joined before `simulate_detection` returns); the CSR arrays reach
+    each worker once, through the pool's initializer.
+
+    Within a group, sources go in batches sized so that the flat
+    per-batch arrays hold about BRANDES_BATCH_STATES entries (see
+    `_brandes_group`).
+    """
+    indptr, degree, neighbour = _csr(n, edges)
+    hop = neighbour - np.repeat(np.arange(n), degree)
+    del neighbour  # the batches set the peak memory
     batch = max(1, BRANDES_BATCH_STATES // (n + hop.size))
-    for lo in range(0, sources.size, batch):
-        src = sources[lo:lo + batch]
+    shared = (n, indptr, degree, hop, weight, batch)
+    groups = range(0, n, BRANDES_GROUP_SOURCES)
+    workers = min(len(os.sched_getaffinity(0)), len(groups))
+    if workers > 1:
+        # imported here, so that `import seqdef` stays cheap
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_share_csr, initargs=shared) as pool:
+            partials = list(pool.map(_brandes_worker_group, groups))
+    else:
+        partials = [_brandes_group(*shared, lo) for lo in groups]
+    scores = np.zeros(n)
+    for partial in partials:
+        scores += partial
+    return scores
+
+
+_worker_csr: tuple = ()  # set once in each forked Brandes worker, never in the parent
+
+
+def _share_csr(*shared) -> None:
+    global _worker_csr
+    _worker_csr = shared
+
+
+def _brandes_worker_group(lo: int) -> np.ndarray:
+    return _brandes_group(*_worker_csr, lo)
+
+
+def _brandes_group(n, indptr, degree, hop, weight, batch, lo) -> np.ndarray:
+    """Weighted Brandes scores of the sources lo .. lo + BRANDES_GROUP_SOURCES - 1, a batch at a time.
+
+    States are flat, s·n + v; the CSR arrays keep, per half-edge, the hop
+    from its end to its other end, so a frontier state s·n + u reaches
+    s·n + v by adding v - u. A level-synchronous BFS emits each level's
+    shortest-path DAG incidences and sums path counts σ over them; the
+    dependencies δ replay the levels in reverse.
+    """
+    scores = np.zeros(n)
+    end = min(lo + BRANDES_GROUP_SOURCES, n)
+    for start in range(lo, end, batch):
+        src = np.arange(start, min(start + batch, end))
         origin = np.arange(src.size) * n + src
         # 1 until a state is reached; int64, not bool, because numpy keeps freed blocks under
         # 1 KiB cached per byte size, and masks of every length would pin that cache full
@@ -386,6 +487,7 @@ def _brandes_batches(n: int, edges: np.ndarray, weight: np.ndarray, scores: np.n
             np.add.at(delta, tails, sigma[tails] * ((target[heads] + delta[heads]) / sigma[heads]))
         delta[origin] = 0.0
         scores += (weight[src, None] * delta.reshape(src.size, n)).sum(axis=0)
+    return scores
 
 
 def removal_order(graph: NetworkGraph, scheme: str, seed: int) -> np.ndarray:
@@ -497,15 +599,17 @@ def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
         raise ConfigError("trials must be >= 1")
     fractions = np.linspace(0.0, _attacked_fraction(q), step_count)
     removed = np.minimum(np.round(fractions * graph.n).astype(np.int64), graph.n)
-    lcc_acc = np.zeros(step_count)
+    lcc_acc = np.zeros(graph.n + 1)
     tau_acc = np.zeros(step_count)
     for order in _removal_orders(graph, scheme, trials, seed):
-        lcc_acc += _lcc_by_removed(graph, order)[removed] / graph.n
+        lcc_acc += _lcc_by_removed(graph, order) / graph.n
         tau_acc += _tau_by_removed(graph, order)[removed]
+    lcc = lcc_acc / trials
     return RemovalCurve(
         removed_fraction=fractions,
-        lcc_fraction=lcc_acc / trials,
+        lcc_fraction=lcc[removed],
         remaining_tau=tau_acc / trials,
+        lcc_by_removed=lcc,
     )
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from seqdef import ConfigError, DegreeModel, giant_component_exists, moments, sample_degree_sequence, thin
+from seqdef import ConfigError, DegreeModel, generate, giant_component_exists, moments, sample_degree_sequence, thin
 from seqdef.degree_models import discrete_pmf, load_histogram
 
 
@@ -223,3 +223,7 @@ class TestSampling:
     def test_size_below_two_rejected(self):
         with pytest.raises(ConfigError):
             sample_degree_sequence(DegreeModel.er(4), 1, seed=0)
+        # a non-whole node count; the power-law path raised a bare TypeError from the sampler
+        for model in (DegreeModel.power_law(2.5, k_max=10), DegreeModel.er(4)):
+            with pytest.raises(ConfigError, match="node count"):
+                generate(model, 10.5, seed=0)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import multiprocessing
 import subprocess
 import sys
 from collections import Counter
@@ -31,7 +32,7 @@ from seqdef import (
     sample_degree_sequence,
     simulate_attack,
 )
-from seqdef.graph_engine import BRANDES_BATCH_STATES, _lcc_by_removed, _removal_curve, _tau_by_removed
+from seqdef.graph_engine import BRANDES_BATCH_STATES, BRANDES_GROUP_SOURCES, _lcc_by_removed, _removal_curve, _tau_by_removed
 
 from oracles import min_disruptive_fraction
 
@@ -317,8 +318,19 @@ def test_largest_component_matches_networkx(g):
     assert largest_component(g) == (best, expected)
 
 
+@st.composite
+def trees_on_cycles(draw, max_nodes):
+    # each node links to one earlier node or starts a new tree, so the links alone form a
+    # forest; a cycle over the first nodes, when drawn, hangs the trees rooted there off it
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n) if draw(st.booleans())]
+    cycle = draw(st.integers(0, n))
+    edges += [(i, (i + 1) % cycle) for i in range(cycle)] if cycle >= 3 else []
+    return NetworkGraph(n, edges)
+
+
 @settings(deadline=None)
-@given(g=small_graphs(max_nodes=12))
+@given(g=st.one_of(small_graphs(max_nodes=12), trees_on_cycles(max_nodes=14)))
 def test_betweenness_matches_networkx(g):
     # networkx counts each unordered pair once; the raw score here counts both directions
     graph = to_networkx(g)
@@ -329,29 +341,57 @@ def test_betweenness_matches_networkx(g):
 
 
 def test_betweenness_matches_networkx_across_batches():
-    # every case the leaf fold handles, on a graph whose sources span several batches
-    base = generate(DegreeModel.er(2.5, n=280), 280, seed=5)
-    star = [(280, v) for v in range(281, 286)]
-    pendant_path = [(0, 286), (286, 287), (287, 288), (288, 289)]
-    k2 = [(290, 291)]
-    g = NetworkGraph(300, np.concatenate((base.edges, star + pendant_path + k2)))  # 292..299 isolated
+    # every case the tree fold handles, on a graph whose 2-core spans several batches and
+    # more than one group of sources
+    base = generate(DegreeModel.er(2.5, n=600), 600, seed=5)
+    star = [(600, v) for v in range(601, 606)]
+    pendant_path = [(0, 606), (606, 607), (607, 608), (608, 609)]
+    k2 = [(610, 611)]
+    # hung off node 1, 4 deep, branching at 612 and 613
+    deep_tree = [(1, 612), (612, 613), (612, 614), (613, 615), (613, 616), (615, 617), (614, 618)]
+    tree_component = [(620, 621), (621, 622), (621, 623), (623, 624), (623, 625), (625, 626)]
+    extra = star + pendant_path + k2 + deep_tree + tree_component
+    g = NetworkGraph(640, np.concatenate((base.edges, extra)))  # 627..639 isolated
     degrees = g.degrees()
     assert (degrees == 1).sum() > 20 and (degrees == 0).sum() >= 8
-    inner = g.edges[(degrees[g.edges] > 1).all(axis=1)]  # what Brandes runs on after the fold
-    assert np.unique(inner).size > 2 * (BRANDES_BATCH_STATES // (g.n + inner.size))
     graph = to_networkx(g)
+    core = nx.k_core(graph, 2)  # what Brandes runs on after the fold
+    assert core.number_of_nodes() < (degrees > 1).sum()
+    batch = BRANDES_BATCH_STATES // (core.number_of_nodes() + 2 * core.number_of_edges())
+    assert core.number_of_nodes() > max(2 * batch, BRANDES_GROUP_SOURCES)
     raw = nx.betweenness_centrality(graph, normalized=False)
     normalized = nx.betweenness_centrality(graph)
     assert np.allclose(betweenness(g, normalized=False), [2 * raw[v] for v in range(g.n)], rtol=1e-12, atol=1e-12)
     assert np.allclose(betweenness(g), [normalized[v] for v in range(g.n)], rtol=0, atol=1e-12)
+    assert multiprocessing.active_children() == []
+
+
+def test_betweenness_independent_of_cpu_count():
+    # one usable CPU runs the source groups inline; the scores must equal the forked run's
+    code = (
+        "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "from seqdef import DegreeModel, betweenness, generate; "
+        "sys.stdout.buffer.write(betweenness(generate(DegreeModel.er(2.67, n=900), 900, seed=4)).tobytes())"
+    )
+    src = Path(seqdef.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, check=True, timeout=300
+    )
+    g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
+    core = nx.k_core(to_networkx(g), 2)
+    assert core.number_of_nodes() > BRANDES_GROUP_SOURCES
+    assert np.array_equal(np.frombuffer(child.stdout), betweenness(g))
+    assert multiprocessing.active_children() == []
 
 
 def test_import_leaves_scipy_out():
     # the package's runtime dependency is numpy alone; scipy is a test-only dependency.
-    # concurrent.futures (and the logging it pulls in) loads only when a Monte-Carlo
-    # run spreads its chunks over threads, so `import seqdef` stays cheap
+    # concurrent.futures (and the logging it pulls in) loads only when a Monte-Carlo run
+    # spreads its chunks over threads, and multiprocessing only when betweenness spreads
+    # its source groups over worker processes, so `import seqdef` stays cheap
     src = Path(seqdef.__file__).resolve().parents[1]
-    code = "import sys, seqdef; sys.exit(any(m in sys.modules for m in ('scipy', 'concurrent.futures', 'logging')))"
+    modules = ("scipy", "concurrent.futures", "logging", "multiprocessing")
+    code = f"import sys, seqdef; sys.exit(any(m in sys.modules for m in {modules}))"
     assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}).returncode == 0
 
 
@@ -505,6 +545,7 @@ class TestAverageRandomAttack:
         lcc = _lcc_by_removed(g, removal_order(g, "random", seed=3))
         removed = np.round(single.removed_fraction * g.n).astype(np.int64)
         assert np.array_equal(lcc[removed] / g.n, single.lcc_fraction)
+        assert np.array_equal(lcc / g.n, single.lcc_by_removed)
 
     def test_determinism_and_shape(self):
         g = generate(DegreeModel.er(3), 400, seed=1)
