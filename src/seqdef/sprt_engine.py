@@ -9,8 +9,8 @@ is Bernoulli(p_f).
 `report_segments` describes the H1 stream once, as runs of constant
 success probability: one run at q * p_d for a random attack; the
 attacked set at p_d, then inert reports (zero LLR) for a targeted one.
-The per-report LLR, the count-form decision, the Monte-Carlo blocks and
-the LLR moments (report counts, worst-case bounds, KL rate) read them.
+The per-report LLR, the count-form decision, the Monte-Carlo success-time
+kernel and the LLR moments (report counts, bounds, KL rate) read them.
 
 Since detectors are i.i.d. given a_i, only the a_i sequence matters for
 simulation; the descending-degree report order is a labeling convention.
@@ -21,6 +21,7 @@ attacked subset of the first M reporters).
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -43,12 +44,8 @@ H0 = "h0"
 H1 = "h1"
 
 # Monte-Carlo stream layout: runs form chunks of ROW_CHUNK, each with its own
-# stream, and each chunk draws its reports in blocks of COL_BLOCK columns.
-# Together they fix which uniform feeds which (trial, report), so changing
-# either changes every `simulate_detection` summary.
+# stream, so changing it changes every `simulate_detection` summary.
 ROW_CHUNK = 4096
-COL_BLOCK = 512
-_FIRST_SUB_BLOCK = 8  # columns read first from each block; later sub-blocks double
 
 
 def normal_cdf(x: float) -> float:
@@ -254,6 +251,11 @@ def truncate(trace: SprtTrace, m_c: int) -> str:
     return trace.state
 
 
+def _count_llr(d, m, z1, z0):
+    """LLR after m informative reports with d ones; m may be an integer array."""
+    return d * z1 + (m - d) * z0
+
+
 def decision_by_counts(
     d_m: int,
     m: int,
@@ -266,10 +268,11 @@ def decision_by_counts(
     The LLR d_m*z1 + (min(m, stop) - d_m)*z0 of the first report segment;
     must agree with the stepwise test on every trajectory. Targeted plans
     are inert beyond the attacked set, so d_m counts successes among the
-    first min(m, M) reports only.
+    first min(m, M) reports only. The Monte-Carlo kernel classifies its
+    (m, d_m) states with the same expression, `_count_llr`.
     """
     _, stop, _, z1, z0 = report_segments(plan, detector)[0]
-    lam = d_m * z1 + (min(m, stop) - d_m) * z0
+    lam = _count_llr(d_m, min(m, stop), z1, z0)
     if lam >= risk.log_a:
         return ACCEPT_ATTACK
     if lam <= risk.log_b:
@@ -357,61 +360,58 @@ def worst_case_bounds(
     )
 
 
-def _report_blocks(plan, detector, truth, m_c, width):
-    """Yield (start, stop, success_prob, z_if_one, z_if_zero) column blocks of the first m_c reports."""
-    for seg_start, seg_stop, p1, z1, z0 in report_segments(plan, detector):
-        seg_stop = min(seg_stop, m_c)
-        success = p1 if truth == H1 else detector.p_f
-        for start in range(seg_start, seg_stop, width):
-            yield start, min(start + width, seg_stop), success, z1, z0
+def _drift_exit(d, z1, z0, log_a, log_b, limit):
+    """First m > d at which d ones and m - d zeros cross the threshold the zeros drift to.
 
-
-def _detection_chunk(blocks, log_a, log_b, m_c, rows, rng):
-    """Run `rows` tests on `rng`'s stream.
-
-    Returns (ta, tn, ua, un, stop_sum, stop_max): attack and null verdicts at
-    a threshold, attack and null verdicts at truncation, and the sum and
-    maximum of the stop indices.
+    A closed-form estimate fixed up against `_count_llr`; above `limit` if no m up to it crosses.
     """
-    lam = np.zeros(rows)  # LLR of each undecided run, in run order
-    ta = tn = stop_sum = stop_max = 0
-    for start, stop_col, success, z1, z0 in blocks:
-        if lam.size == 0:
-            break
-        if z1 == 0.0 and z0 == 0.0:
-            # inert columns: the LLR is frozen, no decision can occur
-            continue
-        u = rng.random((lam.size, stop_col - start))
-        live = np.arange(lam.size)  # rows of u still undecided
-        carry = np.zeros(lam.size)  # their LLR sums over the block's columns before lo
-        lo, width = 0, _FIRST_SUB_BLOCK
-        while lo < u.shape[1] and live.size:
-            hi = min(lo + width, u.shape[1])
-            zs = np.where(u[live, lo:hi] < success, z1, z0)
-            zs[:, 0] += carry
-            sums = np.cumsum(zs, axis=1)
-            path = lam[live, None] + sums
-            hit_a = path >= log_a
-            hit = hit_a | (path <= log_b)
-            any_hit = hit.any(axis=1)
-            decided = np.flatnonzero(any_hit)
-            if decided.size:
-                first = np.argmax(hit[decided], axis=1)
-                attacks = int(hit_a[decided, first].sum())
-                ta += attacks
-                tn += decided.size - attacks
-                stop_sum += int(first.sum()) + decided.size * (start + lo + 1)
-                stop_max = max(stop_max, start + lo + 1 + int(first.max()))
-            kept = ~any_hit
-            live, carry = live[kept], sums[kept, -1]
-            lo, width = hi, 2 * width
-        lam = lam[live] + carry
-    # forced decision for still-undecided runs: attack iff the LLR is positive
-    ua = int((lam > 0.0).sum())
-    if lam.size:
-        stop_sum += m_c * lam.size
-        stop_max = m_c
-    return ta, tn, ua, lam.size - ua, stop_sum, stop_max
+    past, bound = (operator.le, log_b) if z0 < 0.0 else (operator.ge, log_a)
+    k = (bound - d * z1) / z0 if z0 else math.inf
+    m = d + max(1, math.ceil(min(k, limit)))
+    while m > d + 1 and past(_count_llr(d, m - 1, z1, z0), bound):
+        m -= 1
+    while m <= limit and not past(_count_llr(d, m, z1, z0), bound):
+        m += 1
+    return m
+
+
+def _detection_chunk(success, z1, z0, limit, log_a, log_b, m_c, rows, rng):
+    """Run `rows` tests on `rng`'s stream, one geometric draw per run and one-report.
+
+    Reports 1..limit are ones with probability `success`; later ones are
+    inert. In round j every undecided run holds j - 1 ones, so its zeros
+    move the LLR towards one threshold (log B if z0 < 0, log A if z0 > 0),
+    reached at one report count, `_drift_exit`. A run whose next one-report
+    comes later stops there, or at m_c if that count is past `limit`; the
+    others are classified at their one-report. Returns (ta, tn, ua, un,
+    stop_sum, stop_max): attack and null verdicts at a threshold, then at
+    truncation, and the sum and maximum of the stop indices.
+    """
+    if z1 == 0.0 and z0 == 0.0:  # inert stream: the LLR stays 0 and every run is truncated to null
+        return 0, 0, 0, rows, m_c * rows, m_c
+    ta = tn = ua = un = stop_sum = stop_max = 0
+    last = np.zeros(rows, dtype=np.int64)  # latest one-report of each undecided run, in run order
+    d = 0  # one-reports so far, the same for every undecided run
+    while last.size:
+        exit_m = _drift_exit(d, z1, z0, log_a, log_b, limit)
+        gaps = rng.geometric(success, last.size)
+        inside = gaps <= min(exit_m, limit) - last  # next one-report comes before the run leaves
+        t = last[inside] + gaps[inside]
+        gone = last.size - t.size
+        if gone and exit_m <= limit:
+            ta, tn = (ta + gone, tn) if z0 > 0.0 else (ta, tn + gone)
+            stop_sum, stop_max = stop_sum + gone * exit_m, max(stop_max, exit_m)
+        elif gone:  # forced decision: attack iff the LLR is positive
+            ua, un = (ua + gone, un) if _count_llr(d, limit, z1, z0) > 0.0 else (ua, un + gone)
+            stop_sum, stop_max = stop_sum + gone * m_c, m_c
+        d += 1
+        lam = _count_llr(d, t, z1, z0)
+        attacks = int(np.count_nonzero(lam >= log_a))
+        live = (log_b < lam) & (lam < log_a)
+        stops, last = t[~live], t[live]
+        ta, tn = ta + attacks, tn + stops.size - attacks
+        stop_sum, stop_max = stop_sum + int(stops.sum()), max(stop_max, int(stops.max(initial=0)))
+    return ta, tn, ua, un, stop_sum, stop_max
 
 
 def simulate_detection(
@@ -430,16 +430,14 @@ def simulate_detection(
     at m_c. Deterministic given (seed, parameters).
 
     Stream contract: trials form chunks of ROW_CHUNK runs, chunk k drawing
-    from `rng_stream(seed, 0x5D, k)`. Within a chunk, each block of up to
-    COL_BLOCK informative report columns draws one row-major uniform
-    matrix (undecided runs x block width); inert columns draw nothing. The
-    block is then read lazily, in sub-blocks of columns that start at 8
-    and double, over the runs still undecided, so no work is spent on
-    reports after a decision. The LLR of a run is the sequential sum of its
-    report LLRs, block by block, exactly as one cumulative sum per block
-    would give. Chunks run on a thread pool of one worker per usable CPU
-    and are combined in chunk order, so the summary is bit-identical for
-    any CPU count.
+    from `rng_stream(seed, 0x5D, k)`. A run is given by the times of its
+    one-reports among the informative reports, 1..min(stop, m_c) of the
+    first report segment. Round j draws `rng.geometric(success, size)` once
+    for the runs still undecided, in run order: the gaps to their j-th
+    one-reports. States are classified by the count-form rule of
+    `decision_by_counts`; an inert first segment draws nothing. Chunks run
+    on a thread pool of one worker per usable CPU and are combined in chunk
+    order, so the summary is bit-identical for any CPU count.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -447,12 +445,14 @@ def simulate_detection(
         raise ConfigError("report budget m_c must be >= 1")
     if truth not in (H0, H1):
         raise ConfigError("truth must be 'h0' or 'h1'")
-    blocks = list(_report_blocks(plan, detector, truth, m_c, COL_BLOCK))
+    _, stop, p1, z1, z0 = report_segments(plan, detector)[0]
+    success = p1 if truth == H1 else detector.p_f
+    limit = min(stop, m_c)
     chunks = range(-(-trials // ROW_CHUNK))
 
     def run_chunk(k):
         rows = min(ROW_CHUNK, trials - k * ROW_CHUNK)
-        return _detection_chunk(blocks, risk.log_a, risk.log_b, m_c, rows, rng_stream(seed, 0x5D, k))
+        return _detection_chunk(success, z1, z0, limit, risk.log_a, risk.log_b, m_c, rows, rng_stream(seed, 0x5D, k))
 
     workers = min(len(os.sched_getaffinity(0)), len(chunks))
     if workers > 1:

@@ -17,7 +17,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from oracles import exact_stop_moments
+from oracles import exact_stop_moments, exact_truncated_test
 from seqdef import (
     AttackPlan,
     DegreeModel,
@@ -205,17 +205,35 @@ def test_c07_intentional_truncation_identity():
 
 
 def test_c08_worst_case_bound_sandwich():
-    """Empirical attack-declaration frequency dominates the normal lower bound."""
+    """Attack-declaration frequency against the exact truncated test and the normal lower bound.
+
+    * In every cell the simulated frequency lies within 3 Monte-Carlo
+      standard errors of the exact truncated-SPRT value (two-sided), from
+      the lattice DP `exact_truncated_test`.
+    * The paper's normal-approximation `accept_lower_bound` is compared
+      with that exact value, with no sampling noise. It holds in 8 of the 9
+      cells. At q = 0.5, m_c = 100 the exact P(attack) is 0.999061, below
+      the bound 0.999861: the approximation understates the miss
+      probability there. That cell is reported as a discrepancy in the
+      paper's bound; the simulator cannot meet a bound the exact test
+      misses (at 1e4 trials it would need at most 4 misses against 9.39
+      expected).
+    """
     det = DetectorProfile(0.5, 0.01)
+    trials = 10**4
+    bound_gap = (0.5, 100)
     ok = True
     for q in (0.2, 0.3, 0.5):
         for m_c in (20, 50, 100):
-            bounds = worst_case_bounds(q, det, RISK, m_c)
-            sim = simulate_detection(AttackPlan("random", q, 10**4), det, RISK, m_c, 10**4, seed=7, truth="h1")
-            se = math.sqrt(max(bounds.accept_lower_bound * (1 - bounds.accept_lower_bound), 1e-12) / 10**4)
-            cell_ok = sim.attack_frequency >= bounds.accept_lower_bound - 3 * se
-            ok &= cell_ok
-            report(f"c08 q={q} m_c={m_c}", cell_ok, f"freq={sim.attack_frequency:.4f} bound={bounds.accept_lower_bound:.4f}")
+            bound = worst_case_bounds(q, det, RISK, m_c).accept_lower_bound
+            exact = exact_truncated_test(q * det.p_d, q * det.p_d, det.p_f, RISK, m_c).attack
+            sim = simulate_detection(AttackPlan("random", q, 10**4), det, RISK, m_c, trials, seed=7, truth="h1")
+            z = (sim.attack_frequency - exact) / math.sqrt(exact * (1 - exact) / trials)
+            detail = f"freq={sim.attack_frequency:.4f} exact={exact:.6f} z={z:+.2f}"
+            ok &= report(f"c08 q={q} m_c={m_c} exact", abs(z) <= 3, detail)
+            bound_ok = exact < bound if (q, m_c) == bound_gap else exact >= bound
+            label = "bound gap" if (q, m_c) == bound_gap else "bound"
+            ok &= report(f"c08 q={q} m_c={m_c} {label}", bound_ok, f"exact={exact:.6f} bound={bound:.6f}")
     assert ok
 
 

@@ -4,11 +4,12 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqdef
@@ -32,7 +33,8 @@ from seqdef import (
     worst_case_bounds,
 )
 
-from oracles import exact_mean_stop
+from oracles import exact_mean_stop, exact_truncated_test
+from seqdef.sprt_engine import _drift_exit
 
 RISK = RiskBudget(0.01, 0.001)
 
@@ -219,6 +221,67 @@ class TestCountFormAgreement:
                 break
 
 
+class _ScriptedGaps:
+    """Stands in for a chunk's generator: hands one run its scripted gaps between one-reports."""
+
+    def __init__(self, gaps, success):
+        self.gaps, self.success = list(gaps), success
+
+    def geometric(self, p, size):
+        assert p == self.success and size == 1
+        return np.array([self.gaps.pop(0) if self.gaps else 2**40])
+
+
+class TestSuccessTimeKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        scheme=st.sampled_from(["random", "intentional"]),
+        q=st.floats(1e-3, 1.0),
+        n=st.integers(1, 120),
+        probs=st.tuples(st.floats(1e-4, 0.999), st.floats(1e-4, 0.999)).map(sorted),
+        delta=st.floats(1e-4, 0.45),
+        theta=st.floats(1e-4, 0.45),
+        m_c=st.integers(1, 150),
+        truth=st.sampled_from(["h0", "h1"]),
+        gaps=st.lists(st.integers(1, 40), max_size=12),
+    )
+    # float ties: the closed-form exit at d = 1 overshoots by one report; the LLR at m_c is exactly 0
+    @example("random", 1.0, 10, (0.375, 0.75), 0.375, 0.2, 20, "h1", [2])
+    @example("random", 1.0, 10, (0.25, 0.75), 0.01, 0.01, 2, "h1", [1])
+    def test_kernel_matches_count_form_and_step_property(self, scheme, q, n, probs, delta, theta, m_c, truth, gaps):
+        # both LLR signs (q * p_d above and below p_f), targeted budgets inside and past M
+        plan = AttackPlan(scheme, q, n)
+        det = DetectorProfile(probs[1], probs[0])
+        risk = RiskBudget(delta, theta)
+        _, stop, p1, z1, z0 = report_segments(plan, det)[0]
+        limit = min(stop, m_c)
+        drift = "accept_null" if z0 < 0.0 else "accept_attack"
+        for d in range(4):
+            # the round's exit is the first report count at which the zeros' verdict appears
+            exit_m = _drift_exit(d, z1, z0, risk.log_a, risk.log_b, limit)
+            if min(exit_m - 1, limit) > d:
+                assert decision_by_counts(d, min(exit_m - 1, limit), plan, det, risk) != drift
+            if exit_m <= limit:
+                assert decision_by_counts(d, exit_m, plan, det, risk) == drift
+        # one run from scripted gaps, against the stepwise test on the same reports
+        success = p1 if truth == "h1" else det.p_f
+        with mock.patch("seqdef.sprt_engine.rng_stream", lambda *_: _ScriptedGaps(gaps, success)):
+            summary = simulate_detection(plan, det, risk, m_c, 1, seed=0, truth=truth)
+        ones = set(np.cumsum(gaps).tolist())
+        trace = SprtTrace()
+        for m in range(1, m_c + 1):
+            step(trace, m in ones, plan, det, risk)
+            d_m = sum(trace.reports[: plan.m]) if plan.targeted else trace.d_count
+            assert decision_by_counts(d_m, m, plan, det, risk) == trace.state
+            if trace.state != "continue":
+                break
+        forced = trace.state == "continue"
+        verdict = truncate(trace, m_c) if forced else trace.state
+        counts = [0, 0, 0, 0]
+        counts[2 * forced + (verdict == "accept_null")] = 1
+        assert summary == DetectionSummary(1, trace.stop_index, trace.stop_index, *counts)
+
+
 class TestExpectedReports:
     def test_reference_evaluation(self):
         det = DetectorProfile(0.9, 0.001)
@@ -358,36 +421,36 @@ class TestSimulateDetection:
         assert sim.truncated_attack + sim.truncated_null > 0
         assert sim.trials == sim.threshold_attack + sim.threshold_null + sim.truncated_attack + sim.truncated_null
 
-    # Exact summaries: a change to the random stream, its chunk and block layout, or
-    # the order of the LLR sums fails here.
+    # Exact summaries: a change to the random stream, its chunk layout, the order of
+    # its draws, or the count-form classification fails here.
     # (plan, detector, m_c, trials, seed, truth) -> (mean stop, max stop, ta, tn, ua, un)
     PINNED = {
         # three chunks of ROW_CHUNK runs, the last one partial
         "three_chunks": (
             (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 10**4, 9000, 11, "h1"),
-            (20.349888888888888, 151, 8990, 10, 0, 0),
+            (20.32177777777778, 151, 8990, 10, 0, 0),
         ),
-        # stops past the first COL_BLOCK columns, and truncation at m_c
-        "past_col_block_h1": (
+        # weak reports: runs take many one-reports to decide, and some reach truncation at m_c
+        "many_rounds_h1": (
             (AttackPlan("random", 0.05, 10**4), (0.5, 0.01), 1500, 3000, 12, "h1"),
-            (596.2713333333334, 1500, 2847, 3, 121, 29),
+            (582.4316666666666, 1500, 2870, 1, 105, 24),
         ),
-        "past_col_block_h0": (
+        "many_rounds_h0": (
             (AttackPlan("random", 0.05, 10**4), (0.5, 0.01), 1500, 3000, 13, "h0"),
-            (1057.125, 1500, 20, 2382, 20, 578),
+            (1055.3923333333332, 1500, 18, 2457, 22, 503),
         ),
-        # M = 37 lies inside the third sub-block (columns 24..55); inert columns follow
+        # M = 37 < m_c = 60: reports past M are inert, and undecided runs are truncated at m_c
         "targeted_h1": (
             (AttackPlan("intentional", 0.0037, 10**4), (0.3, 0.1), 60, 5000, 14, "h1"),
-            (32.6072, 60, 3488, 0, 1266, 246),
+            (32.9384, 60, 3465, 0, 1319, 216),
         ),
         "targeted_h0": (
             (AttackPlan("intentional", 0.0037, 10**4), (0.3, 0.1), 60, 5000, 15, "h0"),
-            (55.2922, 60, 23, 784, 307, 3886),
+            (55.621, 60, 20, 736, 325, 3919),
         ),
         "truncated_m3": (
             (AttackPlan("random", 0.9, 100), (0.3, 0.2), 3, 2000, 1, "h1"),
-            (3.0, 3, 0, 0, 1228, 772),
+            (3.0, 3, 0, 0, 1193, 807),
         ),
     }
 
@@ -401,6 +464,28 @@ class TestSimulateDetection:
     def test_summary_pinned(self, name):
         summary, expected = self._pinned(name)
         assert summary == expected
+
+    # every pinned case, a test whose zeros drift up to log A (q * p_d < p_f) under
+    # H1 and H0, and a targeted budget that ends inside the attacked set (M = 100)
+    ORACLE_GRID = [case for case, _ in PINNED.values()] + [
+        (AttackPlan("random", 0.01, 10**4), (0.5, 0.02), 400, 20000, 16, "h1"),
+        (AttackPlan("random", 0.01, 10**4), (0.5, 0.02), 400, 20000, 17, "h0"),
+        (AttackPlan("intentional", 0.01, 10**4), (0.3, 0.1), 40, 20000, 18, "h0"),
+    ]
+
+    def test_summaries_match_exact_oracle(self):
+        # P(attack), P(truncated) and the mean stop within 4 SE of the exact truncated
+        # test; 27 two-sided comparisons, so a correct simulator fails with p < 0.002.
+        # The 1e-9 absorbs float noise where every run stops at m_c (zero variance).
+        for plan, det, m_c, trials, seed, truth in self.ORACLE_GRID:
+            detector = DetectorProfile(*det)
+            sim = simulate_detection(plan, detector, RISK, m_c, trials, seed, truth=truth)
+            _, stop, p1, _, _ = report_segments(plan, detector)[0]
+            exact = exact_truncated_test(p1 if truth == "h1" else detector.p_f, p1, detector.p_f, RISK, m_c, stop)
+            for got, p in ((sim.attack_frequency, exact.attack), (sim.truncated_frequency, exact.truncated)):
+                assert abs(got - p) <= 4 * math.sqrt(p * (1 - p) / trials), (plan, truth, got, p)
+            variance = max(exact.second_moment - exact.mean**2, 0.0)
+            assert abs(sim.mean_stop_index - exact.mean) <= 4 * math.sqrt(variance / trials) + 1e-9, (plan, truth)
 
     def test_summary_independent_of_cpu_count(self):
         # one usable CPU means one worker; the summary must match the threaded run
