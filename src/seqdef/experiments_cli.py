@@ -6,7 +6,8 @@ is byte-identical. Commands:
 
   qc-sweep          thresholds of the three canonical models vs mean degree
   m1                expected report counts over (q, p_d, p_f) grids
-  worst-case        truncated-test bounds over a critical-value grid
+  worst-case        truncated-test bounds over a critical-value grid, by the
+                    paper's normal approximation (not exact bounds everywhere)
   empirical         reference parameter sets (WWW / Internet / EU grid)
   powergrid         attack curves and report markers on a real edge list
   operation-curves  minimum p_d vs p_f for given report budgets
@@ -297,7 +298,7 @@ def cmd_powergrid(config: ExperimentConfig) -> str:
         ])
     curves = {}
     for scheme in ("degree", "betweenness"):
-        plan = AttackPlan("intentional" if scheme == "degree" else scheme, config.q, graph.n)
+        plan = AttackPlan(scheme, config.q, graph.n)
         curve = curves[scheme] = simulate_attack(graph, plan, config.steps, config.seed)
         for i in range(len(curve)):
             rows.append([

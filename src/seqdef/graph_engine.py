@@ -30,13 +30,12 @@ import numpy as np
 from ._rand import rng_stream
 from .degree_models import ER, DegreeModel, sample_degree_sequence
 from .errors import ConfigError
-from .sprt_engine import AttackPlan, _attacked_fraction
+from .sprt_engine import INTENTIONAL, RANDOM, AttackPlan, _attack_scheme, _attacked_fraction
 
 REWIRE_SWEEPS = 100
 BRANDES_BATCH_STATES = 40_000  # flat (source, node) states plus half-edge scans per betweenness batch; bounds its memory
 BRANDES_GROUP_SOURCES = 256  # betweenness sources per worker task; fixed, so scores never depend on the CPU count
 TIE_DIGITS = 9
-SCHEMES = ("random", "degree", "intentional", "betweenness")
 
 
 def _whole(values, what: str) -> np.ndarray:
@@ -401,9 +400,8 @@ def _brandes_batches(n: int, edges: np.ndarray, weight: np.ndarray) -> np.ndarra
     are the same bit for bit whether the groups run inline (one usable
     CPU or one group) or in forked worker processes, one per usable CPU.
     Fork lets the workers inherit the imported package, and is safe here
-    because the package holds no thread between calls (the detection pool
-    is joined before `simulate_detection` returns); the CSR arrays reach
-    each worker once, through the pool's initializer.
+    because the package starts no threads; the CSR arrays reach each
+    worker once, through the pool's initializer.
 
     Within a group, sources go in batches sized so that the flat
     per-batch arrays hold about BRANDES_BATCH_STATES entries (see
@@ -500,17 +498,12 @@ def removal_order(graph: NetworkGraph, scheme: str, seed: int) -> np.ndarray:
     digits before sorting, so scores equal in exact arithmetic tie
     whatever order their float sums ran in.
     """
-    _check_scheme(scheme)
-    if scheme == "random":
+    scheme = _attack_scheme(scheme)
+    if scheme == RANDOM:
         return _random_order(graph, seed, 0)
-    if scheme in ("degree", "intentional"):
+    if scheme == INTENTIONAL:
         return np.lexsort((np.arange(graph.n), -graph.degrees()))
     return np.lexsort((np.arange(graph.n), -_round_significant(betweenness(graph), TIE_DIGITS)))
-
-
-def _check_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown attack scheme {scheme!r}")
 
 
 def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
@@ -527,7 +520,7 @@ def _random_order(graph: NetworkGraph, seed: int, trial: int) -> np.ndarray:
 
 def _removal_orders(graph: NetworkGraph, scheme: str, trials: int, seed: int):
     """Yield the removal orders of an attack: `trials` seeded random orders, or one static order."""
-    if scheme != "random":
+    if scheme != RANDOM:
         yield removal_order(graph, scheme, seed)
         return
     for trial in range(trials):
@@ -588,7 +581,7 @@ def simulate_attack(graph: NetworkGraph, plan: AttackPlan, step_count: int, seed
 
 def average_random_attack(graph: NetworkGraph, q: float, step_count: int, trials: int, seed: int) -> RemovalCurve:
     """Random-attack curve averaged over `trials` seeded removal orders."""
-    return _removal_curve(graph, "random", q, step_count, trials, seed)
+    return _removal_curve(graph, RANDOM, q, step_count, trials, seed)
 
 
 def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
@@ -626,7 +619,7 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    _check_scheme(scheme)
+    _attack_scheme(scheme)
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)
     orders = _removal_orders(graph, scheme, trials, seed)

@@ -25,9 +25,8 @@ from .degree_models import (
     moments,
 )
 from .errors import ConfigError, NoRootError, SubcriticalError
+from .sprt_engine import INTENTIONAL, RANDOM
 
-RANDOM = "random"
-INTENTIONAL = "intentional"
 CLOSED_FORM = "closed_form"
 ROOT_SOLVE = "root_solve"
 

@@ -19,7 +19,7 @@ from .percolation_analytic import qc_random
 from .sprt_engine import (
     DetectorProfile,
     RiskBudget,
-    _llr_pair,
+    _llr_stats,
     expected_reports_intentional,
     expected_reports_random,
 )
@@ -46,8 +46,7 @@ class BaselineCheck:
 
 def information_rate(p_d: float, p_f: float) -> float:
     """Binary KL divergence D(p_d || p_f) = E[z|H1]: nonnegative, zero iff p_d == p_f."""
-    z1, z0 = _llr_pair(p_d, p_f)
-    return p_d * z1 + (1.0 - p_d) * z0
+    return _llr_stats(p_d, p_f)[0]
 
 
 def required_rate(risk: RiskBudget, m_c: int) -> float:

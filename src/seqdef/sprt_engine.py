@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import ConfigError, NumericalError
 RANDOM = "random"
 INTENTIONAL = "intentional"
 BETWEENNESS = "betweenness"
-_SCHEMES = (RANDOM, INTENTIONAL, BETWEENNESS)
+_SCHEMES = (RANDOM, INTENTIONAL, BETWEENNESS, "degree")  # "degree" names INTENTIONAL
 
 CONTINUE = "continue"
 ACCEPT_ATTACK = "accept_attack"
@@ -44,7 +43,8 @@ H0 = "h0"
 H1 = "h1"
 
 # Monte-Carlo stream layout: runs form chunks of ROW_CHUNK, each with its own
-# stream, so changing it changes every `simulate_detection` summary.
+# stream, so changing it changes every `simulate_detection` summary. A chunk
+# also bounds the memory of one kernel call; chunks run one after another.
 ROW_CHUNK = 4096
 
 
@@ -94,6 +94,13 @@ class RiskBudget:
         return self.theta * self.log_b + (1.0 - self.theta) * self.log_a
 
 
+def _attack_scheme(name: str) -> str:
+    """The attack scheme called `name`, "degree" read as INTENTIONAL; ConfigError if unknown."""
+    if name not in _SCHEMES:
+        raise ConfigError(f"unknown attack scheme {name!r}")
+    return INTENTIONAL if name == "degree" else name
+
+
 def _attacked_fraction(q: float) -> float:
     """q itself, once checked to lie in (0, 1]."""
     if not 0.0 < q <= 1.0:
@@ -103,15 +110,14 @@ def _attacked_fraction(q: float) -> float:
 
 @dataclass(frozen=True)
 class AttackPlan:
-    """Attack scheme, attacked fraction q, and network size n."""
+    """Attack scheme, attacked fraction q, and network size n; scheme "degree" is stored as INTENTIONAL."""
 
     scheme: str
     q: float
     n: int
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ConfigError(f"unknown attack scheme {self.scheme!r}")
+        object.__setattr__(self, "scheme", _attack_scheme(self.scheme))
         _attacked_fraction(self.q)
         if self.n < 1:
             raise ConfigError("network size n must be >= 1")
@@ -139,7 +145,13 @@ class SprtTrace:
 
 @dataclass(frozen=True)
 class WorstCaseBounds:
-    """Normal-approximation bounds for the test truncated at m_c reports."""
+    """Normal-approximation bounds for the test truncated at m_c reports.
+
+    These are the paper's normal approximation, not bounds everywhere: at
+    p_d = 0.5, p_f = 0.01, q = 0.5, m_c = 100 (delta = 0.01, theta = 0.001)
+    the exact truncated P(attack) is 0.999061, below `accept_lower_bound`
+    0.999861.
+    """
 
     m_c: int
     y1: float
@@ -326,7 +338,9 @@ def worst_case_bounds(
 
     For targeted plans pass q_effective = m_c / n, which makes the worst
     case (attacked set exactly as large as the budget) coincide with the
-    random-attack analysis.
+    random-attack analysis. The values are the paper's normal
+    approximation, so `accept_lower_bound` can exceed the exact truncated
+    P(attack) (see `WorstCaseBounds`).
     """
     if m_c < 1:
         raise ConfigError("report budget m_c must be >= 1")
@@ -435,9 +449,9 @@ def simulate_detection(
     first report segment. Round j draws `rng.geometric(success, size)` once
     for the runs still undecided, in run order: the gaps to their j-th
     one-reports. States are classified by the count-form rule of
-    `decision_by_counts`; an inert first segment draws nothing. Chunks run
-    on a thread pool of one worker per usable CPU and are combined in chunk
-    order, so the summary is bit-identical for any CPU count.
+    `decision_by_counts`; an inert first segment draws nothing. Chunks fix
+    the stream and bound memory: they run one after another in chunk order
+    and their counts are summed, so the summary is the same on any machine.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -448,22 +462,13 @@ def simulate_detection(
     _, stop, p1, z1, z0 = report_segments(plan, detector)[0]
     success = p1 if truth == H1 else detector.p_f
     limit = min(stop, m_c)
-    chunks = range(-(-trials // ROW_CHUNK))
-
-    def run_chunk(k):
-        rows = min(ROW_CHUNK, trials - k * ROW_CHUNK)
-        return _detection_chunk(success, z1, z0, limit, risk.log_a, risk.log_b, m_c, rows, rng_stream(seed, 0x5D, k))
-
-    workers = min(len(os.sched_getaffinity(0)), len(chunks))
-    if workers > 1:
-        # imported here: concurrent.futures pulls in logging, which `import seqdef` avoids
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(k) for k in chunks]
-
+    results = [
+        _detection_chunk(
+            success, z1, z0, limit, risk.log_a, risk.log_b, m_c,
+            min(ROW_CHUNK, trials - k * ROW_CHUNK), rng_stream(seed, 0x5D, k),
+        )
+        for k in range(-(-trials // ROW_CHUNK))
+    ]
     ta, tn, ua, un, stop_sum = (sum(result[i] for result in results) for i in range(5))
     return DetectionSummary(
         trials=trials,

@@ -17,7 +17,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from oracles import exact_stop_moments, exact_truncated_test
+from oracles import exact_truncated_test
 from seqdef import (
     AttackPlan,
     DegreeModel,
@@ -172,7 +172,7 @@ def test_c06_h1_mean_stop_vs_formula():
     p1, p0 = 0.3 * det.p_d, det.p_f
     formula = expected_reports_random(0.3, det, RISK)
     sim = simulate_detection(plan, det, RISK, m_c=10**4, trials=trials, seed=42, truth="h1")
-    exact = exact_stop_moments(p1, p0, RISK)
+    exact = exact_truncated_test(p1, p1, p0, RISK, m_c=20000)
     se = math.sqrt((exact.second_moment - exact.mean**2) / trials)
     z = (sim.mean_stop_index - exact.mean) / se
     ok = abs(z) <= 3

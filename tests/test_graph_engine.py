@@ -386,9 +386,8 @@ def test_betweenness_independent_of_cpu_count():
 
 def test_import_leaves_scipy_out():
     # the package's runtime dependency is numpy alone; scipy is a test-only dependency.
-    # concurrent.futures (and the logging it pulls in) loads only when a Monte-Carlo run
-    # spreads its chunks over threads, and multiprocessing only when betweenness spreads
-    # its source groups over worker processes, so `import seqdef` stays cheap
+    # concurrent.futures (and the logging it pulls in) and multiprocessing load only when
+    # betweenness spreads its source groups over worker processes, so `import seqdef` stays cheap
     src = Path(seqdef.__file__).resolve().parents[1]
     modules = ("scipy", "concurrent.futures", "logging", "multiprocessing")
     code = f"import sys, seqdef; sys.exit(any(m in sys.modules for m in {modules}))"

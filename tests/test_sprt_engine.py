@@ -33,7 +33,7 @@ from seqdef import (
     worst_case_bounds,
 )
 
-from oracles import exact_mean_stop, exact_truncated_test
+from oracles import exact_truncated_test
 from seqdef.sprt_engine import _drift_exit
 
 RISK = RiskBudget(0.01, 0.001)
@@ -66,6 +66,9 @@ class TestTypes:
     def test_invalid_inputs_rejected(self, build):
         with pytest.raises(ConfigError):
             build()
+
+    def test_degree_is_a_synonym_of_intentional(self):
+        assert AttackPlan("degree", 0.25, 100) == AttackPlan("intentional", 0.25, 100)
 
     def test_report_segments(self):
         det = DetectorProfile(0.9, 0.001)
@@ -363,7 +366,7 @@ class TestSimulateDetection:
         det = DetectorProfile(0.5, 0.01)
         plan = AttackPlan("random", 0.3, 10**4)
         sim = simulate_detection(plan, det, RISK, 10**4, 10**4, seed=42, truth="h1")
-        oracle = exact_mean_stop(0.15, 0.01, RISK)
+        oracle = exact_truncated_test(0.15, 0.15, 0.01, RISK, m_c=20000).mean
         assert sim.mean_stop_index == pytest.approx(oracle, rel=0.05)
 
     def test_h0_false_alarm_within_wald_bound(self):
@@ -380,7 +383,8 @@ class TestSimulateDetection:
         det = DetectorProfile(0.9, 0.001)
         plan = AttackPlan("random", 0.5, 10**4)
         sim = simulate_detection(plan, det, RISK, 10**4, 10**4, seed=3, truth="h1")
-        assert sim.mean_stop_index == pytest.approx(exact_mean_stop(0.45, 0.001, RISK), rel=0.05)
+        exact = exact_truncated_test(0.45, 0.45, 0.001, RISK, m_c=20000)
+        assert sim.mean_stop_index == pytest.approx(exact.mean, rel=0.05)
 
     def test_intentional_never_stops_after_target(self):
         det = DetectorProfile(0.5, 1e-6)
@@ -488,19 +492,23 @@ class TestSimulateDetection:
             assert abs(sim.mean_stop_index - exact.mean) <= 4 * math.sqrt(variance / trials) + 1e-9, (plan, truth)
 
     def test_summary_independent_of_cpu_count(self):
-        # one usable CPU means one worker; the summary must match the threaded run
-        code = (
-            "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        # one usable CPU and every usable CPU give the pinned summary, and neither run starts a thread pool
+        run = (
+            "import sys; "
             "from seqdef import AttackPlan, DetectorProfile, RiskBudget, simulate_detection; "
             "print(repr(simulate_detection(AttackPlan('random', 0.3, 10**4), DetectorProfile(0.5, 0.01), "
-            "RiskBudget(0.01, 0.001), 10**4, 9000, 11, truth='h1')))"
+            "RiskBudget(0.01, 0.001), 10**4, 9000, 11, truth='h1'))); "
+            "print('concurrent.futures' in sys.modules)"
         )
+        one_cpu = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
         src = Path(seqdef.__file__).resolve().parents[1]
-        child = subprocess.run(
-            [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
-        )
         summary, expected = self._pinned("three_chunks")
-        assert child.stdout.strip() == repr(expected) == repr(summary)
+        assert repr(summary) == repr(expected)
+        for code in (one_cpu + run, run):
+            child = subprocess.run(
+                [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
+            )
+            assert child.stdout.splitlines() == [repr(expected), "False"]
 
     def test_validation(self):
         det = DetectorProfile(0.5, 0.01)
