@@ -1,4 +1,4 @@
-"""Small numeric helpers shared across modules: bisection, clamping, counts.
+"""Small numeric helpers shared across modules: bisection, clamping, counts, whole-number checks.
 
 All target functions in this package are monotone on their brackets, so
 plain bisection is preferred over faster but less robust schemes.
@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import NoRootError
+import numpy as np
+
+from .errors import ConfigError, NoRootError
 
 ABS_TOL = 1e-10
 MAX_ITER = 200
@@ -22,6 +24,16 @@ def clamp01(x: float) -> float:
 def ceil_count(x: float) -> int:
     """ceil(x) with a float-noise guard: values within 1e-9 above an integer round down."""
     return math.ceil(x - 1e-9)
+
+
+def _whole(values, what: str) -> np.ndarray:
+    """`values` as int64; ConfigError unless every entry is a whole number."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.float64)
+        if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+            raise ConfigError(f"{what} must be whole numbers")
+    return arr.astype(np.int64, copy=False)
 
 
 def bisect_root(

@@ -107,13 +107,16 @@ def _fmt(value) -> str:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse 'a,b,c' lists or 'lo:hi:count[:log]' ranges into floats; log ranges need lo, hi > 0."""
+    """Parse non-empty 'a,b,c' lists or 'lo:hi:count[:log]' ranges into floats; log ranges need lo, hi > 0."""
     text = text.strip()
     parts = text.split(":")
     log = parts[3:] == ["log"]
     try:
         if len(parts) == 1:
-            return [float(tok) for tok in text.split(",") if tok.strip()]
+            values = [float(tok) for tok in text.split(",") if tok.strip()]
+            if not values:
+                raise ValueError("empty list")
+            return values
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"bad grid spec {text!r}") from exc
@@ -289,17 +292,12 @@ def cmd_powergrid(config: ExperimentConfig) -> str:
         f"nodes={graph.n}", f"edges={graph.edge_count}",
         f"dropped_loops={graph.self_loops_dropped};dropped_dupes={graph.duplicates_dropped}",
     ]]
-    random_curve = average_random_attack(graph, config.q, config.steps, config.trials, config.seed)
-    for i in range(len(random_curve)):
-        rows.append([
-            "curve", "random", _fmt(float(random_curve.removed_fraction[i])),
-            _fmt(float(random_curve.lcc_fraction[i])), _fmt(float(random_curve.remaining_tau[i])),
-            "", "", "", "",
-        ])
-    curves = {}
-    for scheme in ("degree", "betweenness"):
-        plan = AttackPlan(scheme, config.q, graph.n)
-        curve = curves[scheme] = simulate_attack(graph, plan, config.steps, config.seed)
+    curves = {
+        "random": average_random_attack(graph, config.q, config.steps, config.trials, config.seed),
+        "degree": simulate_attack(graph, AttackPlan("degree", config.q, graph.n), config.steps, config.seed),
+        "betweenness": simulate_attack(graph, AttackPlan("betweenness", config.q, graph.n), config.steps, config.seed),
+    }
+    for scheme, curve in curves.items():
         for i in range(len(curve)):
             rows.append([
                 "curve", scheme, _fmt(float(curve.removed_fraction[i])),

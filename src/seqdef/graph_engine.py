@@ -12,15 +12,16 @@ component by one union-find pass over the edges in decreasing t_e
 Betweenness orders come from exact scores. Every hanging tree is peeled
 away and scored by one closed form in its sizes; exact Brandes
 accumulation then runs on the 2-core alone, on flat (source, node) state
-arrays a batch of sources at a time, in fixed groups of sources spread
-over forked worker processes. The groups are fixed by the graph, not by
-the CPU count, so the float sums and the scores are the same on any
-machine. The scores are rounded to TIE_DIGITS significant digits before
-sorting, so float-noise ties break by index.
+arrays, one group of sources at a time; the groups are spread over forked
+worker processes, each task carrying the arrays it reads. The groups are
+fixed by the graph, not by the CPU count, so the float sums and the
+scores are the same on any machine. The scores are rounded to TIE_DIGITS
+significant digits before sorting, so float-noise ties break by index.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,24 +29,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rand import rng_stream
+from ._solve import _whole
 from .degree_models import ER, DegreeModel, sample_degree_sequence
 from .errors import ConfigError
 from .sprt_engine import INTENTIONAL, RANDOM, AttackPlan, _attack_scheme, _attacked_fraction
 
 REWIRE_SWEEPS = 100
-BRANDES_BATCH_STATES = 40_000  # flat (source, node) states plus half-edge scans per betweenness batch; bounds its memory
-BRANDES_GROUP_SOURCES = 256  # betweenness sources per worker task; fixed, so scores never depend on the CPU count
+BRANDES_GROUP_STATES = 1 << 18  # flat states plus half-edge scans per betweenness task; fixed, so scores never depend on the CPU count
 TIE_DIGITS = 9
-
-
-def _whole(values, what: str) -> np.ndarray:
-    """`values` as int64; ConfigError unless every entry is a whole number."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
-            raise ConfigError(f"{what} must be whole numbers")
-    return arr.astype(np.int64, copy=False)
 
 
 class NetworkGraph:
@@ -212,6 +203,8 @@ def generate(model: DegreeModel, n: int, seed: int) -> NetworkGraph:
     if n < 2:
         raise ConfigError("graph generation needs n >= 2")
     if model.kind == ER:
+        if not model.k_hat <= n:  # not `k_hat > n`, so that NaN fails too
+            raise ConfigError(f"ER link probability k_hat / n must be <= 1, got {model.k_hat} / {n}")
         rng = rng_stream(seed, 0x6E)
         edges = _er_gnp(n, model.k_hat / n, rng)
         return NetworkGraph(n, edges)
@@ -253,8 +246,8 @@ def load_edge_list(path) -> NetworkGraph:
                 ids = [int(p) for p in parts]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed line {raw.strip()!r}") from exc
-            if any(i < 0 for i in ids):
-                raise ConfigError(f"{path}:{lineno}: negative node id in {raw.strip()!r}")
+            if any(not 0 <= i < 2**63 for i in ids):
+                raise ConfigError(f"{path}:{lineno}: node id outside [0, 2**63) in {raw.strip()!r}")
             if len(ids) == 1:
                 mentioned.add(ids[0])
             elif len(ids) == 2:
@@ -393,57 +386,41 @@ def _brandes_batches(n: int, edges: np.ndarray, weight: np.ndarray) -> np.ndarra
 
     Source s adds weight[s] · δ_s(v) to node v, where δ_s(v) sums, over
     targets t, weight[t] times the share of s-t shortest paths through v.
-    The sources are split into contiguous groups of BRANDES_GROUP_SOURCES
-    and each group returns one partial score vector; the parent adds the
-    partials in group order. Float sums depend on their order, so the
-    split depends on the graph alone, never on the CPU count: the scores
-    are the same bit for bit whether the groups run inline (one usable
-    CPU or one group) or in forked worker processes, one per usable CPU.
-    Fork lets the workers inherit the imported package, and is safe here
-    because the package starts no threads; the CSR arrays reach each
-    worker once, through the pool's initializer.
-
-    Within a group, sources go in batches sized so that the flat
-    per-batch arrays hold about BRANDES_BATCH_STATES entries (see
-    `_brandes_group`).
+    The sources are split once, into contiguous groups sized so that a
+    group's flat arrays hold about BRANDES_GROUP_STATES entries; each group
+    is one `_brandes_group` call and returns one partial score vector, which
+    the parent adds as it arrives, in group order. Float sums depend on
+    their order, so the split depends on the graph alone, never on the CPU
+    count: the scores are the same bit for bit whether the groups run
+    inline (one usable CPU or one group) or in forked worker processes, one
+    per usable CPU. Each task carries the CSR arrays with it. Fork lets the
+    workers inherit the imported package, and is safe here because the
+    package starts no threads.
     """
     indptr, degree, neighbour = _csr(n, edges)
     hop = neighbour - np.repeat(np.arange(n), degree)
-    del neighbour  # the batches set the peak memory
-    batch = max(1, BRANDES_BATCH_STATES // (n + hop.size))
-    shared = (n, indptr, degree, hop, weight, batch)
-    groups = range(0, n, BRANDES_GROUP_SOURCES)
-    workers = min(len(os.sched_getaffinity(0)), len(groups))
+    del neighbour  # the groups set the peak memory
+    size = max(1, BRANDES_GROUP_STATES // (n + hop.size))
+    group = functools.partial(_brandes_group, n, indptr, degree, hop, weight, size)
+    starts = range(0, n, size)
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    scores = np.zeros(n)
     if workers > 1:
         # imported here, so that `import seqdef` stays cheap
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_share_csr, initargs=shared) as pool:
-            partials = list(pool.map(_brandes_worker_group, groups))
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            for partial in pool.map(group, starts):
+                scores += partial
     else:
-        partials = [_brandes_group(*shared, lo) for lo in groups]
-    scores = np.zeros(n)
-    for partial in partials:
-        scores += partial
+        for partial in map(group, starts):
+            scores += partial
     return scores
 
 
-_worker_csr: tuple = ()  # set once in each forked Brandes worker, never in the parent
-
-
-def _share_csr(*shared) -> None:
-    global _worker_csr
-    _worker_csr = shared
-
-
-def _brandes_worker_group(lo: int) -> np.ndarray:
-    return _brandes_group(*_worker_csr, lo)
-
-
-def _brandes_group(n, indptr, degree, hop, weight, batch, lo) -> np.ndarray:
-    """Weighted Brandes scores of the sources lo .. lo + BRANDES_GROUP_SOURCES - 1, a batch at a time.
+def _brandes_group(n, indptr, degree, hop, weight, size, lo) -> np.ndarray:
+    """Weighted Brandes scores of the sources lo .. lo + size - 1, all at once.
 
     States are flat, s·n + v; the CSR arrays keep, per half-edge, the hop
     from its end to its other end, so a frontier state s·n + u reaches
@@ -451,41 +428,37 @@ def _brandes_group(n, indptr, degree, hop, weight, batch, lo) -> np.ndarray:
     shortest-path DAG incidences and sums path counts σ over them; the
     dependencies δ replay the levels in reverse.
     """
-    scores = np.zeros(n)
-    end = min(lo + BRANDES_GROUP_SOURCES, n)
-    for start in range(lo, end, batch):
-        src = np.arange(start, min(start + batch, end))
-        origin = np.arange(src.size) * n + src
-        # 1 until a state is reached; int64, not bool, because numpy keeps freed blocks under
-        # 1 KiB cached per byte size, and masks of every length would pin that cache full
-        fresh = np.ones(src.size * n, dtype=np.int64)
-        sigma = np.zeros(src.size * n)
-        fresh[origin] = 0
-        sigma[origin] = 1.0
-        levels = []
-        front = origin
-        while front.size:
-            u = front % n
-            count = degree[u]
-            stop = np.cumsum(count)
-            # each frontier state with the CSR offset of its first half-edge, repeated per half-edge
-            tails, first = np.repeat(np.stack((front, indptr[u] - stop + count)), count, axis=1)
-            heads = tails + hop[first + np.arange(stop[-1])]
-            new = np.flatnonzero(fresh[heads])
-            tails, heads = tails[new], heads[new]
-            fresh[heads] = 0
-            np.add.at(sigma, heads, sigma[tails])
-            levels.append((tails, heads))
-            reached = np.zeros(src.size * n, dtype=bool)  # the next frontier, each state once
-            reached[heads] = True
-            front = np.flatnonzero(reached)
-        target = np.tile(weight, src.size)
-        delta = np.zeros(src.size * n)
-        for tails, heads in reversed(levels):
-            np.add.at(delta, tails, sigma[tails] * ((target[heads] + delta[heads]) / sigma[heads]))
-        delta[origin] = 0.0
-        scores += (weight[src, None] * delta.reshape(src.size, n)).sum(axis=0)
-    return scores
+    src = np.arange(lo, min(lo + size, n))
+    origin = np.arange(src.size) * n + src
+    # 1 until a state is reached; int64, not bool, because numpy keeps freed blocks under
+    # 1 KiB cached per byte size, and masks of every length would pin that cache full
+    fresh = np.ones(src.size * n, dtype=np.int64)
+    sigma = np.zeros(src.size * n)
+    fresh[origin] = 0
+    sigma[origin] = 1.0
+    levels = []
+    front = origin
+    while front.size:
+        u = front % n
+        count = degree[u]
+        stop = np.cumsum(count)
+        # each frontier state with the CSR offset of its first half-edge, repeated per half-edge
+        tails, first = np.repeat(np.stack((front, indptr[u] - stop + count)), count, axis=1)
+        heads = tails + hop[first + np.arange(stop[-1])]
+        new = np.flatnonzero(fresh[heads])
+        tails, heads = tails[new], heads[new]
+        fresh[heads] = 0
+        np.add.at(sigma, heads, sigma[tails])
+        levels.append((tails, heads))
+        reached = np.zeros(src.size * n, dtype=bool)  # the next frontier, each state once
+        reached[heads] = True
+        front = np.flatnonzero(reached)
+    target = np.tile(weight, src.size)
+    delta = np.zeros(src.size * n)
+    for tails, heads in reversed(levels):
+        np.add.at(delta, tails, sigma[tails] * ((target[heads] + delta[heads]) / sigma[heads]))
+    delta[origin] = 0.0
+    return (weight[src, None] * delta.reshape(src.size, n)).sum(axis=0)
 
 
 def removal_order(graph: NetworkGraph, scheme: str, seed: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rand import rng_stream
-from ._solve import ceil_count, clamp01
+from ._solve import _whole, ceil_count, clamp01
 from .errors import ConfigError, NumericalError
 
 RANDOM = "random"
@@ -453,6 +453,8 @@ def simulate_detection(
     the stream and bound memory: they run one after another in chunk order
     and their counts are summed, so the summary is the same on any machine.
     """
+    trials = int(_whole(trials, "trials"))
+    m_c = int(_whole(m_c, "report budget m_c"))
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if m_c < 1:

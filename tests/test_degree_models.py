@@ -227,3 +227,6 @@ class TestSampling:
         for model in (DegreeModel.power_law(2.5, k_max=10), DegreeModel.er(4)):
             with pytest.raises(ConfigError, match="node count"):
                 generate(model, 10.5, seed=0)
+        # link probability k_hat / n above 1; was a bare ValueError from numpy's geometric sampler
+        with pytest.raises(ConfigError, match="link probability"):
+            generate(DegreeModel.er(5, n=4), 4, 0)

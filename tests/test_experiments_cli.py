@@ -57,7 +57,7 @@ class TestParseGrid:
     def test_bad_specs_rejected(self):
         from seqdef import ConfigError
 
-        for spec in ("1:2", "1:2:0", "1:2:3:cubic", "a,b"):
+        for spec in ("1:2", "1:2:0", "1:2:3:cubic", "a,b", "", ","):
             with pytest.raises(ConfigError):
                 parse_grid(spec)
 
@@ -316,6 +316,8 @@ class TestExitCodes:
             ["m1", "--q_grid", "0.5:1.5:3"],
             ["m1", "--q_grid=-0.5:1:4"],
             ["worst-case", "--qc_grid", "0.5:1.5:3"],
+            ["operation-curves", "--mc_list", ""],  # was exit 3, "no feasible operation point"
+            ["qc-sweep", "--meandeg_grid", ""],  # was exit 0 with a header-only CSV
         ],
         ids=" ".join,
     )

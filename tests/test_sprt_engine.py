@@ -519,3 +519,9 @@ class TestSimulateDetection:
             simulate_detection(plan, det, RISK, 10, 0, seed=0)
         with pytest.raises(ConfigError):
             simulate_detection(plan, det, RISK, 10, 10, seed=0, truth="maybe")
+        # a non-whole budget was accepted and came back as max_stop_index; non-whole trials
+        # ended in a bare TypeError
+        with pytest.raises(ConfigError, match="m_c"):
+            simulate_detection(plan, det, RISK, 2.5, 10, seed=0)
+        with pytest.raises(ConfigError, match="trials"):
+            simulate_detection(plan, det, RISK, 10, 2.5, seed=0)
