@@ -61,19 +61,19 @@ class DegreeModel:
         if self.kind in _PARAMETRIC and self.k_max == self.k_min:
             raise ConfigError("degenerate support (k_min == k_max) for parametric model")
         if self.kind == ER:
-            if self.k_hat is None or self.k_hat <= 0:
-                raise ConfigError("ER model needs mean degree k_hat > 0")
+            if self.k_hat is None or not math.isfinite(self.k_hat) or self.k_hat <= 0:
+                raise ConfigError(f"ER model needs a finite mean degree k_hat > 0, got {self.k_hat}")
         elif self.kind == POWER_LAW:
-            if self.alpha is None or self.alpha <= 1:
-                raise ConfigError("power-law model needs alpha > 1")
+            if self.alpha is None or not math.isfinite(self.alpha) or self.alpha <= 1:
+                raise ConfigError(f"power-law model needs a finite alpha > 1, got {self.alpha}")
         elif self.kind == EXPONENTIAL:
-            if self.beta is None or self.beta <= 0:
-                raise ConfigError("exponential model needs beta > 0")
+            if self.beta is None or not math.isfinite(self.beta) or self.beta <= 0:
+                raise ConfigError(f"exponential model needs a finite beta > 0, got {self.beta}")
         else:
             if not self.histogram:
                 raise ConfigError("empirical model needs a non-empty histogram")
             total = math.fsum(self.histogram.values())
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ConfigError(f"empirical histogram sums to {total!r}, not 1")
             for k, p in self.histogram.items():
                 if not (self.k_min <= int(k) <= self.k_max):

@@ -12,11 +12,15 @@ component by one union-find pass over the edges in decreasing t_e
 Betweenness orders come from exact scores. Every hanging tree is peeled
 away and scored by one closed form in its sizes; exact Brandes
 accumulation then runs on the 2-core alone, on flat (source, node) state
-arrays, one group of sources at a time; the groups are spread over forked
-worker processes, each task carrying the arrays it reads. The groups are
-fixed by the graph, not by the CPU count, so the float sums and the
-scores are the same on any machine. The scores are rounded to TIE_DIGITS
-significant digits before sorting, so float-noise ties break by index.
+arrays, one group of sources at a time. The scores are rounded to
+TIE_DIGITS significant digits before sorting, so float-noise ties break
+by index.
+
+Two kinds of work run in groups: Brandes sources and random-attack
+trials. Both go through one ordered map, `_ordered_map`, which spreads
+the groups over forked worker processes and yields their results in
+group order. Group sizes come from GROUP_STATES and the graph, never from
+the CPU count, so every output is the same on any machine.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import ConfigError
 from .sprt_engine import INTENTIONAL, RANDOM, AttackPlan, _attack_scheme, _attacked_fraction
 
 REWIRE_SWEEPS = 100
-BRANDES_GROUP_STATES = 1 << 18  # flat states plus half-edge scans per betweenness task; fixed, so scores never depend on the CPU count
+GROUP_STATES = 1 << 18  # array entries per task of `_ordered_map`: Brandes flat states plus half-edge scans, or nodes plus half-edges per random trial; fixed, so outputs never depend on the CPU count
 TIE_DIGITS = 9
 
 
@@ -269,7 +273,7 @@ def largest_component(graph: NetworkGraph) -> tuple[int, list[int]]:
     Ties are broken in favor of the component containing the lowest
     node index.
     """
-    roots, _ = _union_edges(graph.n, graph.edges)
+    roots = _roots(_union_edges(graph.n, graph.edges)[0])
     sizes = np.bincount(roots)[roots]
     best = int(sizes.max())
     winner = roots[np.argmax(sizes == best)]  # lowest-index tie-break
@@ -279,29 +283,37 @@ def largest_component(graph: NetworkGraph) -> tuple[int, list[int]]:
 def _union_edges(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Union-find over `edges` in row order, with path halving and union by size.
 
-    Returns each node's final root, and the largest component size after
-    each prefix of edges (index k: after the first k; index 0 is 1).
+    Returns the parent forest (`_roots` resolves it) and the largest
+    component size after each prefix of edges (index k: after the first k;
+    index 0 is 1). `find` is inlined and `bests.append` bound once, because
+    this loop is nearly all of a random-attack curve's cost.
     """
     parent = list(range(n))
     size = [1] * n
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     best = 1
     bests = [best]
+    record = bests.append
     for a, b in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):
-        a, b = find(a), find(b)
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a != b:
             if size[a] < size[b]:
                 a, b = b, a
             parent[b] = a
             size[a] += size[b]
-            best = max(best, size[a])
-        bests.append(best)
-    return np.array([find(v) for v in range(n)]), np.array(bests)
+            if size[a] > best:
+                best = size[a]
+        record(best)
+    return np.array(parent), np.array(bests)
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Each node's root in a parent forest, by pointer jumping."""
+    while not np.array_equal(parent[parent], parent):
+        parent = parent[parent]
+    return parent
 
 
 def betweenness(graph: NetworkGraph, normalized: bool = True) -> np.ndarray:
@@ -331,7 +343,7 @@ def betweenness(graph: NetworkGraph, normalized: bool = True) -> np.ndarray:
     n = graph.n
     indptr, degree, neighbour = _csr(n, graph.edges)
     size, squares, core = _peel_trees(indptr, degree, neighbour)
-    roots, _ = _union_edges(n, graph.edges)
+    roots = _roots(_union_edges(n, graph.edges)[0])
     component = np.bincount(roots)[roots]
     scores = (size - 1.0) ** 2 - squares + 2.0 * (size - 1.0) * (component - size)
     if core.any():  # a forest has no 2-core
@@ -387,36 +399,43 @@ def _brandes_batches(n: int, edges: np.ndarray, weight: np.ndarray) -> np.ndarra
     Source s adds weight[s] · δ_s(v) to node v, where δ_s(v) sums, over
     targets t, weight[t] times the share of s-t shortest paths through v.
     The sources are split once, into contiguous groups sized so that a
-    group's flat arrays hold about BRANDES_GROUP_STATES entries; each group
-    is one `_brandes_group` call and returns one partial score vector, which
-    the parent adds as it arrives, in group order. Float sums depend on
-    their order, so the split depends on the graph alone, never on the CPU
-    count: the scores are the same bit for bit whether the groups run
-    inline (one usable CPU or one group) or in forked worker processes, one
-    per usable CPU. Each task carries the CSR arrays with it. Fork lets the
-    workers inherit the imported package, and is safe here because the
-    package starts no threads.
+    group's flat arrays hold about GROUP_STATES entries; each group is one
+    `_brandes_group` call, run through `_ordered_map`, and returns one
+    partial score vector, which the parent adds in group order. Float sums
+    depend on their order, so the split depends on the graph alone, never
+    on the CPU count: the scores are the same bit for bit whether the
+    groups run inline or in forked workers.
     """
     indptr, degree, neighbour = _csr(n, edges)
     hop = neighbour - np.repeat(np.arange(n), degree)
     del neighbour  # the groups set the peak memory
-    size = max(1, BRANDES_GROUP_STATES // (n + hop.size))
+    size = max(1, GROUP_STATES // (n + hop.size))
     group = functools.partial(_brandes_group, n, indptr, degree, hop, weight, size)
-    starts = range(0, n, size)
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
     scores = np.zeros(n)
-    if workers > 1:
-        # imported here, so that `import seqdef` stays cheap
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            for partial in pool.map(group, starts):
-                scores += partial
-    else:
-        for partial in map(group, starts):
-            scores += partial
+    for partial in _ordered_map(group, range(0, n, size)):
+        scores += partial
     return scores
+
+
+def _ordered_map(fn, tasks: range):
+    """Yield fn(task) for every task, in task order, on min(usable CPUs, tasks) forked workers.
+
+    Runs inline when that is 1. Results come in task order whatever order
+    the workers finish in, so a caller that folds them as they come sums
+    its floats in one fixed order. `fn` and its bound arrays travel with
+    each task. Fork lets the workers inherit the imported package, and is
+    safe because the package starts no threads.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers < 2:
+        yield from map(fn, tasks)
+        return
+    # imported here, so that `import seqdef` stays cheap
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(fn, tasks)
 
 
 def _brandes_group(n, indptr, degree, hop, weight, size, lo) -> np.ndarray:
@@ -491,12 +510,12 @@ def _random_order(graph: NetworkGraph, seed: int, trial: int) -> np.ndarray:
     return rng_stream(seed, 0xA7, trial).permutation(graph.n)
 
 
-def _removal_orders(graph: NetworkGraph, scheme: str, trials: int, seed: int):
-    """Yield the removal orders of an attack: `trials` seeded random orders, or one static order."""
+def _removal_orders(graph: NetworkGraph, scheme: str, trials: range, seed: int):
+    """Yield the removal orders of an attack: the seeded random orders of `trials`, or one static order."""
     if scheme != RANDOM:
         yield removal_order(graph, scheme, seed)
         return
-    for trial in range(trials):
+    for trial in trials:
         yield _random_order(graph, seed, trial)
 
 
@@ -553,23 +572,34 @@ def simulate_attack(graph: NetworkGraph, plan: AttackPlan, step_count: int, seed
 
 
 def average_random_attack(graph: NetworkGraph, q: float, step_count: int, trials: int, seed: int) -> RemovalCurve:
-    """Random-attack curve averaged over `trials` seeded removal orders."""
+    """Random-attack curve averaged over `trials` seeded removal orders.
+
+    The trials run in groups of max(1, GROUP_STATES // (n + 2·edges)),
+    fixed by the graph, through `_ordered_map`. Each group returns every
+    trial's own arrays and the parent adds them in trial order, so the
+    curve is the same bit for bit on any CPU count.
+    """
     return _removal_curve(graph, RANDOM, q, step_count, trials, seed)
 
 
 def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
     """Response curve from 0 to q, averaged over the orders of `_removal_orders`."""
+    step_count = int(_whole(step_count, "step_count"))
+    trials = int(_whole(trials, "trials"))
     if step_count < 2:
         raise ConfigError("step_count must be >= 2")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     fractions = np.linspace(0.0, _attacked_fraction(q), step_count)
     removed = np.minimum(np.round(fractions * graph.n).astype(np.int64), graph.n)
+    size = max(1, GROUP_STATES // (graph.n + 2 * graph.edge_count))
+    group = functools.partial(_trial_group, graph, scheme, seed, removed, trials, size)
     lcc_acc = np.zeros(graph.n + 1)
     tau_acc = np.zeros(step_count)
-    for order in _removal_orders(graph, scheme, trials, seed):
-        lcc_acc += _lcc_by_removed(graph, order) / graph.n
-        tau_acc += _tau_by_removed(graph, order)[removed]
+    for responses in _ordered_map(group, range(0, trials, size)):
+        for lcc, tau in responses:
+            lcc_acc += lcc / graph.n
+            tau_acc += tau
     lcc = lcc_acc / trials
     return RemovalCurve(
         removed_fraction=fractions,
@@ -577,6 +607,12 @@ def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
         remaining_tau=tau_acc / trials,
         lcc_by_removed=lcc,
     )
+
+
+def _trial_group(graph, scheme, seed, removed, trials, size, lo) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(LCC sizes by removed count, tau at `removed`) of each order of trials lo .. lo + size - 1."""
+    orders = _removal_orders(graph, scheme, range(lo, min(lo + size, trials)), seed)
+    return [(_lcc_by_removed(graph, order), _tau_by_removed(graph, order)[removed]) for order in orders]
 
 
 def _first_crossing(tau: np.ndarray) -> int:
@@ -590,11 +626,12 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     Random attacks are averaged over `trials` seeded orders; targeted
     orders are deterministic.
     """
+    trials = int(_whole(trials, "trials"))
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     _attack_scheme(scheme)
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)
-    orders = _removal_orders(graph, scheme, trials, seed)
+    orders = _removal_orders(graph, scheme, range(trials), seed)
     crossings = [_first_crossing(_tau_by_removed(graph, order)) / graph.n for order in orders]
     return QcEstimate(float(np.mean(crossings)), False)

@@ -19,7 +19,7 @@ from .percolation_analytic import qc_random
 from .sprt_engine import (
     DetectorProfile,
     RiskBudget,
-    _llr_stats,
+    _llr_drift,
     expected_reports_intentional,
     expected_reports_random,
 )
@@ -46,7 +46,7 @@ class BaselineCheck:
 
 def information_rate(p_d: float, p_f: float) -> float:
     """Binary KL divergence D(p_d || p_f) = E[z|H1]: nonnegative, zero iff p_d == p_f."""
-    return _llr_stats(p_d, p_f)[0]
+    return _llr_drift(p_d, p_f)
 
 
 def required_rate(risk: RiskBudget, m_c: int) -> float:

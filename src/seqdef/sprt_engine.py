@@ -292,11 +292,17 @@ def decision_by_counts(
     return CONTINUE
 
 
+def _llr_drift(p1: float, p0: float) -> float:
+    """E[z|H1] for success probs p1/p0: the binary KL divergence D(p1 || p0)."""
+    z1, z0 = _llr_pair(p1, p0)
+    return p1 * z1 + (1.0 - p1) * z0
+
+
 def _llr_stats(p1: float, p0: float) -> tuple[float, float, float, float]:
     """(E[z|H1], E[z|H0], sigma[z|H1], sigma[z|H0]) for success probs p1/p0."""
     z1, z0 = _llr_pair(p1, p0)
     spread = z1 - z0
-    e1 = p1 * z1 + (1.0 - p1) * z0
+    e1 = _llr_drift(p1, p0)
     e0 = p0 * z1 + (1.0 - p0) * z0
     s1 = math.sqrt(p1 * (1.0 - p1)) * spread
     s0 = math.sqrt(p0 * (1.0 - p0)) * spread
@@ -315,7 +321,7 @@ def expected_reports_random(q: float, detector: DetectorProfile, risk: RiskBudge
     p1 = _attacked_fraction(q) * detector.p_d
     if p1 == detector.p_f:
         raise NumericalError("degenerate test: q * p_d equals p_f")
-    return risk.decision_effort / _llr_stats(p1, detector.p_f)[0]
+    return risk.decision_effort / _llr_drift(p1, detector.p_f)
 
 
 def expected_reports_intentional(detector: DetectorProfile, risk: RiskBudget) -> float:

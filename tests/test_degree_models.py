@@ -70,6 +70,14 @@ class TestValidation:
             lambda: DegreeModel.empirical({}),
             lambda: DegreeModel.empirical({1: 0.5, 2: 0.6}),
             lambda: DegreeModel.empirical({1: 0.5, 9: 0.5}, k_max=5),
+            # NaN and ±inf passed the `<=` checks; qc_random then read them as subcritical (qc=0.0)
+            lambda: DegreeModel.er(float("nan")),
+            lambda: DegreeModel.er(float("inf")),
+            lambda: DegreeModel.power_law(float("nan")),
+            lambda: DegreeModel.power_law(float("inf")),
+            lambda: DegreeModel.exponential(float("nan")),
+            lambda: DegreeModel.exponential(float("-inf")),
+            lambda: DegreeModel.empirical({1: float("nan"), 2: 1.0}),
         ],
     )
     def test_invalid_models_rejected(self, build):

@@ -318,6 +318,9 @@ class TestExitCodes:
             ["worst-case", "--qc_grid", "0.5:1.5:3"],
             ["operation-curves", "--mc_list", ""],  # was exit 3, "no feasible operation point"
             ["qc-sweep", "--meandeg_grid", ""],  # was exit 0 with a header-only CSV
+            ["qc-sweep", "--meandeg_grid", "nan"],  # was exit 1, a ValueError traceback
+            ["qc-sweep", "--meandeg_grid", "inf"],  # was exit 1, an OverflowError traceback
+            ["m1", "--khat_grid", "nan"],  # was exit 2 for "q must lie in (0, 1]", from a qc read as 0.0
         ],
         ids=" ".join,
     )

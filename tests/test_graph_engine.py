@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import multiprocessing
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -32,7 +33,8 @@ from seqdef import (
     sample_degree_sequence,
     simulate_attack,
 )
-from seqdef.graph_engine import BRANDES_GROUP_STATES, _lcc_by_removed, _removal_curve, _tau_by_removed
+from seqdef import graph_engine
+from seqdef.graph_engine import GROUP_STATES, _lcc_by_removed, _random_order, _removal_curve, _tau_by_removed
 
 from oracles import min_disruptive_fraction
 
@@ -349,7 +351,7 @@ def test_betweenness_matches_networkx(g):
 
 def source_groups(core):
     """Number of Brandes source groups on a 2-core, as `_brandes_batches` splits it."""
-    size = max(1, BRANDES_GROUP_STATES // (core.number_of_nodes() + 2 * core.number_of_edges()))
+    size = max(1, GROUP_STATES // (core.number_of_nodes() + 2 * core.number_of_edges()))
     return -(-core.number_of_nodes() // size)
 
 
@@ -378,30 +380,94 @@ def test_betweenness_matches_networkx_across_groups():
     assert multiprocessing.active_children() == []
 
 
-def test_betweenness_independent_of_cpu_count():
-    # one usable CPU runs the source groups inline; the scores must equal the forked runs'.
-    # Workers finish in a different order from run to run, so partials summed as they
-    # complete rather than in group order show up in one of a few forked runs
-    code = (
-        "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-        "from seqdef import DegreeModel, betweenness, generate; "
-        "sys.stdout.buffer.write(betweenness(generate(DegreeModel.er(2.67, n=900), 900, seed=4)).tobytes())"
-    )
+def run_on_one_cpu(snippet):
+    """Stdout bytes of `snippet`, run by a fresh interpreter that can use one CPU only."""
+    code = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" + snippet
     src = Path(seqdef.__file__).resolve().parents[1]
     child = subprocess.run(
         [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, check=True, timeout=300
     )
+    return child.stdout
+
+
+def test_betweenness_independent_of_cpu_count():
+    # one usable CPU runs the source groups inline; the scores must equal the forked runs'.
+    # Workers finish in a different order from run to run, so partials summed as they
+    # complete rather than in group order show up in one of a few forked runs
+    inline = run_on_one_cpu(
+        "import sys; from seqdef import DegreeModel, betweenness, generate; "
+        "sys.stdout.buffer.write(betweenness(generate(DegreeModel.er(2.67, n=900), 900, seed=4)).tobytes())"
+    )
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
     assert source_groups(nx.k_core(to_networkx(g), 2)) > 1
     for _ in range(3):
-        assert np.array_equal(np.frombuffer(child.stdout), betweenness(g))
+        assert np.array_equal(np.frombuffer(inline), betweenness(g))
     assert multiprocessing.active_children() == []
+
+
+def trials_per_group(g):
+    """Random trials per group, as `_removal_curve` splits them."""
+    return max(1, GROUP_STATES // (g.n + 2 * g.edge_count))
+
+
+def test_random_curve_independent_of_cpu_count():
+    # one usable CPU runs the trial groups inline; the curve must equal the forked runs'. As for
+    # betweenness, a few forked runs catch trials added as their groups complete
+    inline = run_on_one_cpu(
+        "import sys; from seqdef import DegreeModel, average_random_attack, generate; "
+        "c = average_random_attack(generate(DegreeModel.er(2.67, n=2000), 2000, seed=4), 0.5, 9, 150, seed=6); "
+        "sys.stdout.buffer.write(c.lcc_by_removed.tobytes() + c.remaining_tau.tobytes())"
+    )
+    g = generate(DegreeModel.er(2.67, n=2000), 2000, seed=4)
+    assert 150 > 3 * trials_per_group(g)
+    for _ in range(3):
+        curve = average_random_attack(g, 0.5, 9, 150, seed=6)
+        assert np.array_equal(np.frombuffer(inline[: 8 * (g.n + 1)]), curve.lcc_by_removed)
+        assert np.array_equal(np.frombuffer(inline[8 * (g.n + 1) :]), curve.remaining_tau)
+    assert multiprocessing.active_children() == []
+
+
+def test_random_curve_is_the_trial_order_sum():
+    # each group hands back every trial's own arrays and the parent adds them in trial order, so
+    # the curve over several groups is the plain loop over single trials, bit for bit
+    g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
+    trials = 250
+    assert trials > 2 * trials_per_group(g)
+    curve = average_random_attack(g, 0.5, 7, trials, seed=2)
+    removed = np.round(np.linspace(0.0, 0.5, 7) * g.n).astype(np.int64)
+    lcc, tau = np.zeros(g.n + 1), np.zeros(7)
+    for trial in range(trials):
+        order = _random_order(g, 2, trial)
+        lcc += _lcc_by_removed(g, order) / g.n
+        tau += _tau_by_removed(g, order)[removed]
+    assert np.array_equal(curve.lcc_by_removed, lcc / trials)
+    assert np.array_equal(curve.remaining_tau, tau / trials)
+    assert multiprocessing.active_children() == []
+
+
+def test_groups_are_fixed_by_the_graph(monkeypatch):
+    # the parent adds random trials one by one, so a trial split that read the CPU count would
+    # leave the curve unchanged; the split is checked here, as the tasks handed to the map
+    g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
+    splits = []
+    for cpus in (1, 64):
+        tasks = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        monkeypatch.setattr(graph_engine, "_ordered_map", lambda fn, todo: tasks.append(todo) or map(fn, todo))
+        average_random_attack(g, 0.5, 5, 250, seed=0)
+        betweenness(g)
+        splits.append(tasks)
+    assert splits[0] == splits[1]
+    trials, sources = splits[0]
+    assert trials == range(0, 250, trials_per_group(g))
+    assert len(sources) == source_groups(nx.k_core(to_networkx(g), 2))
 
 
 def test_import_leaves_scipy_out():
     # the package's runtime dependency is numpy alone; scipy is a test-only dependency.
     # concurrent.futures (and the logging it pulls in) and multiprocessing load only when
-    # betweenness spreads its source groups over worker processes, so `import seqdef` stays cheap
+    # `_ordered_map` spreads betweenness source groups or random-trial groups over worker
+    # processes, so `import seqdef` stays cheap
     src = Path(seqdef.__file__).resolve().parents[1]
     modules = ("scipy", "concurrent.futures", "logging", "multiprocessing")
     code = f"import sys, seqdef; sys.exit(any(m in sys.modules for m in {modules}))"
@@ -528,6 +594,9 @@ class TestSimulateAttack:
     def test_step_count_validation(self):
         with pytest.raises(ConfigError):
             simulate_attack(star_graph(3), AttackPlan("random", 0.5, 4), 1, seed=0)
+        # a non-whole step count ended in a bare TypeError
+        with pytest.raises(ConfigError, match="step_count"):
+            simulate_attack(star_graph(3), AttackPlan("random", 0.5, 4), 2.5, seed=0)
 
     def test_degree_attack_dominates_random_on_power_law(self):
         # Monte-Carlo dominance with 100 random orders, one-sided slack 0.02
@@ -548,6 +617,16 @@ def test_fraction_outside_unit_interval_rejected_by_curves(q):
 
 
 class TestAverageRandomAttack:
+    def test_validation(self):
+        g = complete_graph(5)
+        with pytest.raises(ConfigError, match="trials"):
+            average_random_attack(g, 0.5, 5, trials=0, seed=0)
+        # non-whole counts ended in a bare TypeError
+        with pytest.raises(ConfigError, match="trials"):
+            average_random_attack(g, 0.5, 5, trials=2.5, seed=0)
+        with pytest.raises(ConfigError, match="step_count"):
+            average_random_attack(g, 0.5, 2.5, trials=2, seed=0)
+
     def test_single_trial_is_the_random_simulate_attack(self):
         # one stream convention: removal_order(g, "random", seed) is trial 0
         g = generate(DegreeModel.er(3), 400, seed=1)
@@ -599,6 +678,8 @@ class TestEstimateQc:
     def test_trials_validation(self):
         with pytest.raises(ConfigError):
             estimate_qc(star_graph(3), "random", trials=0, seed=0)
+        with pytest.raises(ConfigError, match="trials"):  # was a bare TypeError
+            estimate_qc(complete_graph(5), "random", trials=2.5, seed=0)
 
     def test_unknown_scheme_rejected_on_subcritical_graph(self):
         path4 = NetworkGraph(4, [(0, 1), (1, 2), (2, 3)])
