@@ -1,5 +1,10 @@
 """Small numeric helpers shared across modules: bisection, clamping, counts, whole-number checks.
 
+Whole numbers are checked by two rules: `_whole` for arrays (edge
+endpoints, degree sequences) and `_count` for every scalar count (node
+counts, report budgets, trial and step counts, report indices), which
+also enforces the count's least value.
+
 All target functions in this package are monotone on their brackets, so
 plain bisection is preferred over faster but less robust schemes.
 """
@@ -34,6 +39,19 @@ def _whole(values, what: str) -> np.ndarray:
         if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
             raise ConfigError(f"{what} must be whole numbers")
     return arr.astype(np.int64, copy=False)
+
+
+def _count(value, what: str, least: int = 1) -> int:
+    """`value` as an int; ConfigError unless it is a whole number >= `least` (NaN and ±inf are not)."""
+    if type(value) is int and value >= least:  # the common case, without the float round trip
+        return value
+    try:
+        ok = float(value).is_integer() and value >= least
+    except (TypeError, ValueError, OverflowError):  # not a number, or an int beyond float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{what} must be a whole number >= {least}, got {value!r}")
+    return int(value)
 
 
 def bisect_root(

@@ -17,6 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from ._rand import rng_stream
+from ._solve import _count
 from .errors import ConfigError
 
 ER = "er"
@@ -52,12 +53,9 @@ class DegreeModel:
     def __post_init__(self):
         if self.kind not in (*_PARAMETRIC, EMPIRICAL):
             raise ConfigError(f"unknown degree model kind {self.kind!r}")
-        if self.k_min < 1:
-            raise ConfigError("k_min must be >= 1")
-        if self.k_max < self.k_min:
-            raise ConfigError("k_max must be >= k_min")
-        if self.n < 2:
-            raise ConfigError("network size n must be >= 2")
+        object.__setattr__(self, "k_min", _count(self.k_min, "k_min"))
+        object.__setattr__(self, "k_max", _count(self.k_max, "k_max", self.k_min))
+        object.__setattr__(self, "n", _count(self.n, "network size n", 2))
         if self.kind in _PARAMETRIC and self.k_max == self.k_min:
             raise ConfigError("degenerate support (k_min == k_max) for parametric model")
         if self.kind == ER:
@@ -72,14 +70,14 @@ class DegreeModel:
         else:
             if not self.histogram:
                 raise ConfigError("empirical model needs a non-empty histogram")
+            for k, p in self.histogram.items():
+                if not (self.k_min <= _count(k, "histogram degree") <= self.k_max):
+                    raise ConfigError(f"histogram degree {k} outside [{self.k_min}, {self.k_max}]")
+                if not 0.0 <= p <= 1.0:  # also keeps NaN and ±inf out of the fsum
+                    raise ConfigError(f"histogram probability for degree {k} must lie in [0, 1], got {p!r}")
             total = math.fsum(self.histogram.values())
             if not abs(total - 1.0) <= 1e-9:
                 raise ConfigError(f"empirical histogram sums to {total!r}, not 1")
-            for k, p in self.histogram.items():
-                if not (self.k_min <= int(k) <= self.k_max):
-                    raise ConfigError(f"histogram degree {k} outside [{self.k_min}, {self.k_max}]")
-                if p < 0:
-                    raise ConfigError(f"histogram probability for degree {k} is negative")
 
     @classmethod
     def er(cls, k_hat, k_min=DEFAULT_K_MIN, k_max=DEFAULT_K_MAX, n=DEFAULT_N):
@@ -95,7 +93,7 @@ class DegreeModel:
 
     @classmethod
     def empirical(cls, histogram, n=DEFAULT_N, k_min=None, k_max=None):
-        hist = {int(k): float(p) for k, p in histogram.items()}
+        hist = {_count(k, "histogram degree"): float(p) for k, p in histogram.items()}
         if not hist:
             raise ConfigError("empirical model needs a non-empty histogram")
         lo = min(hist) if k_min is None else k_min
@@ -268,8 +266,7 @@ def sample_degree_sequence(model: DegreeModel, size: int, seed: int) -> np.ndarr
     Poisson support (isolated nodes occur in ER graphs); the other kinds
     stay within [k_min, k_max].
     """
-    if size < 2:
-        raise ConfigError("degree sequence needs size >= 2")
+    size = _count(size, "degree sequence size", 2)
     rng = rng_stream(seed, 0xDE6)  # stream tag for degree draws
     seq = _draw(model, size, rng)
     if int(seq.sum()) % 2 == 1:

@@ -41,7 +41,7 @@ from .sprt_engine import (
     expected_reports_random,
     worst_case_bounds,
 )
-from ._solve import bisect_root, ceil_count
+from ._solve import _count, bisect_root, ceil_count
 
 _EMPIRICAL_NETWORKS = (
     # name, model kind, parameter, node count
@@ -131,6 +131,13 @@ def parse_grid(text: str) -> list[float]:
     return [lo + step * i for i in range(count)]
 
 
+def _detectors(pd_grid, pf: float):
+    """DetectorProfile(pd, pf) for each pd of the grid above pf; pd <= pf cannot tell attack from noise."""
+    for pd in pd_grid:
+        if pd > pf:
+            yield DetectorProfile(pd, pf)
+
+
 def _render(config: ExperimentConfig, columns: list[str], rows: list[list[str]]) -> str:
     lines = config.echo_lines()
     lines.append(",".join(columns))
@@ -200,17 +207,14 @@ def cmd_m1(config: ExperimentConfig) -> str:
     columns = ["record", "model", "param", "q", "pd", "pf", "qc_random", "m1"]
     rows = []
     for pf in pf_list:
-        for pd in pd_grid:
-            if pd <= pf:
-                continue
-            det = DetectorProfile(pd, pf)
+        for det in _detectors(pd_grid, pf):
             for q in q_grid:
-                if q * pd <= pf:
+                if q * det.p_d <= pf:
                     continue
                 m1 = expected_reports_random(q, det, risk)
-                rows.append(["random", "", "", _fmt(q), _fmt(pd), _fmt(pf), "", _fmt(m1)])
+                rows.append(["random", "", "", _fmt(q), _fmt(det.p_d), _fmt(pf), "", _fmt(m1)])
             m1 = expected_reports_intentional(det, risk)
-            rows.append(["intentional", "", "", "", _fmt(pd), _fmt(pf), "", _fmt(m1)])
+            rows.append(["intentional", "", "", "", _fmt(det.p_d), _fmt(pf), "", _fmt(m1)])
     # report-count surfaces over (network parameter, pd) at the critical q
     surface_grids = (
         ("er", config.khat_grid),
@@ -223,12 +227,9 @@ def cmd_m1(config: ExperimentConfig) -> str:
                 qc = qc_random(_family_model(kind, param, config)).qc
             except SubcriticalError:
                 continue
-            for pd in pd_grid:
-                if pd <= config.pf:
-                    continue
-                det = DetectorProfile(pd, config.pf)
+            for det in _detectors(pd_grid, config.pf):
                 m1 = expected_reports_random(qc, det, risk)
-                rows.append(["surface", kind, _fmt(param), _fmt(qc), _fmt(pd), _fmt(config.pf), _fmt(qc), _fmt(m1)])
+                rows.append(["surface", kind, _fmt(param), _fmt(qc), _fmt(det.p_d), _fmt(config.pf), _fmt(qc), _fmt(m1)])
     return _render(config, columns, rows)
 
 
@@ -267,21 +268,18 @@ def cmd_empirical(config: ExperimentConfig) -> str:
         mc_ran = ceil_count(n_nodes * q_ran)
         mc_int = ceil_count(n_nodes * q_int)
         for pf in parse_grid(config.pf_list):
-            for pd in parse_grid(config.pd_grid):
-                if pd <= pf:
-                    continue
-                det = DetectorProfile(pd, pf)
+            for det in _detectors(parse_grid(config.pd_grid), pf):
                 m1_ran = expected_reports_random(q_ran, det, risk)
                 m1_int = expected_reports_intentional(det, risk)
                 rows.append([
                     name, kind, _fmt(param), str(n_nodes), _fmt(q_ran), str(mc_ran),
-                    _fmt(q_int), str(mc_int), _fmt(pd), _fmt(pf), _fmt(m1_ran), _fmt(m1_int),
+                    _fmt(q_int), str(mc_int), _fmt(det.p_d), _fmt(pf), _fmt(m1_ran), _fmt(m1_int),
                 ])
     return _render(config, columns, rows)
 
 
 def cmd_powergrid(config: ExperimentConfig) -> str:
-    """Attack curves plus detection markers for a real topology."""
+    """Attack curves plus detection markers for a real topology; markers skip p_d <= p_f, as m1 does."""
     if not config.graph:
         raise ConfigError("powergrid needs --graph PATH (edge list)")
     graph = load_edge_list(config.graph)
@@ -308,12 +306,11 @@ def cmd_powergrid(config: ExperimentConfig) -> str:
     # surviving largest component when exactly that many top-degree nodes
     # are already gone (the undetectable region boundary), read from the
     # degree curve's own pass
-    for pd in parse_grid(config.pd_grid):
-        det = DetectorProfile(pd, config.pf)
+    for det in _detectors(parse_grid(config.pd_grid), config.pf):
         m1 = expected_reports_intentional(det, risk)
         boundary = min(graph.n, ceil_count(m1))
         rows.append([
-            "m1", "degree", "", "", "", _fmt(pd), _fmt(m1),
+            "m1", "degree", "", "", "", _fmt(det.p_d), _fmt(m1),
             _fmt(m1 / graph.n), _fmt(float(curves["degree"].lcc_by_removed[boundary])),
         ])
     return _render(config, columns, rows)
@@ -326,9 +323,7 @@ def cmd_operation_curves(config: ExperimentConfig) -> str:
     rows = []
     feasible_points = 0
     for mc in parse_grid(config.mc_list):
-        if not mc.is_integer():
-            raise ConfigError(f"mc_list entries must be integers, got {mc!r}")
-        m_c = int(mc)
+        m_c = _count(mc, "mc_list entry")
         for pf in parse_grid(config.pf_grid):
             try:
                 point = min_detection(pf, risk, m_c)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rand import rng_stream
-from ._solve import _whole
+from ._solve import _count, _whole
 from .degree_models import ER, DegreeModel, sample_degree_sequence
 from .errors import ConfigError
 from .sprt_engine import INTENTIONAL, RANDOM, AttackPlan, _attack_scheme, _attacked_fraction
@@ -56,9 +56,7 @@ class NetworkGraph:
     """
 
     def __init__(self, n, edges, *, labels=None, stubs_dropped=0):
-        self.n = int(_whole(n, "node count"))
-        if self.n < 1:
-            raise ConfigError("graph needs at least one node")
+        self.n = _count(n, "node count")
         raw = _whole(edges, "edge endpoints")
         if raw.size and (raw.ndim != 2 or raw.shape[1] != 2):
             raise ConfigError(f"edges must be (u, v) rows, got shape {raw.shape}")
@@ -203,9 +201,7 @@ def generate(model: DegreeModel, n: int, seed: int) -> NetworkGraph:
     the other kinds go through a sampled degree sequence and stub
     matching (configuration model).
     """
-    n = int(_whole(n, "node count"))
-    if n < 2:
-        raise ConfigError("graph generation needs n >= 2")
+    n = _count(n, "node count", 2)
     if model.kind == ER:
         if not model.k_hat <= n:  # not `k_hat > n`, so that NaN fails too
             raise ConfigError(f"ER link probability k_hat / n must be <= 1, got {model.k_hat} / {n}")
@@ -566,8 +562,10 @@ def simulate_attack(graph: NetworkGraph, plan: AttackPlan, step_count: int, seed
     The curve is evaluated at `step_count` evenly spaced removed
     fractions from 0 to plan.q; component fractions are relative to the
     original node count. A random plan follows trial 0 of
-    `average_random_attack`.
+    `average_random_attack`. The plan must be sized for this graph.
     """
+    if plan.n != graph.n:
+        raise ConfigError(f"attack plan is sized for n={plan.n}, but the graph has {graph.n} nodes")
     return _removal_curve(graph, plan.scheme, plan.q, step_count, 1, seed)
 
 
@@ -584,12 +582,8 @@ def average_random_attack(graph: NetworkGraph, q: float, step_count: int, trials
 
 def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
     """Response curve from 0 to q, averaged over the orders of `_removal_orders`."""
-    step_count = int(_whole(step_count, "step_count"))
-    trials = int(_whole(trials, "trials"))
-    if step_count < 2:
-        raise ConfigError("step_count must be >= 2")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    step_count = _count(step_count, "step_count", 2)
+    trials = _count(trials, "trials")
     fractions = np.linspace(0.0, _attacked_fraction(q), step_count)
     removed = np.minimum(np.round(fractions * graph.n).astype(np.int64), graph.n)
     size = max(1, GROUP_STATES // (graph.n + 2 * graph.edge_count))
@@ -626,9 +620,7 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     Random attacks are averaged over `trials` seeded orders; targeted
     orders are deterministic.
     """
-    trials = int(_whole(trials, "trials"))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    trials = _count(trials, "trials")
     _attack_scheme(scheme)
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._solve import bisect_root, ceil_count
+from ._solve import _count, bisect_root, ceil_count
 from .degree_models import DegreeModel
 from .errors import ConfigError, InfeasibleError
 from .percolation_analytic import qc_random
@@ -51,9 +51,7 @@ def information_rate(p_d: float, p_f: float) -> float:
 
 def required_rate(risk: RiskBudget, m_c: int) -> float:
     """Decision effort theta*logB + (1-theta)*logA spread over m_c reports."""
-    if m_c < 1:
-        raise ConfigError("report budget m_c must be >= 1")
-    return risk.decision_effort / m_c
+    return risk.decision_effort / _count(m_c, "report budget m_c")
 
 
 def feasible(detector: DetectorProfile, risk: RiskBudget, m_c: int) -> bool:
@@ -82,7 +80,7 @@ def min_detection(p_f: float, risk: RiskBudget, m_c: int) -> OperationPoint:
             f"{information_rate(hi, p_f):.6g} < required {rhs:.6g}"
         )
     p_d_min = bisect_root(gap, p_f * (1.0 + 1e-12), hi, what="operation point")
-    return OperationPoint(p_f=p_f, p_d_min=p_d_min, m_c=m_c)
+    return OperationPoint(p_f=p_f, p_d_min=p_d_min, m_c=int(m_c))  # whole: `required_rate` checked it
 
 
 def operation_curve(p_f_grid, risk: RiskBudget, m_c: int) -> list[OperationPoint]:

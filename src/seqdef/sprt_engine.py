@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rand import rng_stream
-from ._solve import _whole, ceil_count, clamp01
+from ._solve import _count, ceil_count, clamp01
 from .errors import ConfigError, NumericalError
 
 RANDOM = "random"
@@ -119,8 +119,7 @@ class AttackPlan:
     def __post_init__(self):
         object.__setattr__(self, "scheme", _attack_scheme(self.scheme))
         _attacked_fraction(self.q)
-        if self.n < 1:
-            raise ConfigError("network size n must be >= 1")
+        object.__setattr__(self, "n", _count(self.n, "network size n"))
 
     @property
     def targeted(self) -> bool:
@@ -222,8 +221,7 @@ def report_segments(plan: AttackPlan, detector: DetectorProfile) -> list[tuple]:
 
 def per_report_llr(x: int, plan: AttackPlan, detector: DetectorProfile, i: int) -> float:
     """Log-likelihood ratio of report i (1-based), read off its report segment."""
-    if i < 1:
-        raise ConfigError("report index i starts at 1")
+    i = _count(i, "report index i (it starts at 1)")
     _, _, _, z1, z0 = next(seg for seg in report_segments(plan, detector) if i <= seg[1])
     return z1 if x else z0
 
@@ -348,8 +346,7 @@ def worst_case_bounds(
     approximation, so `accept_lower_bound` can exceed the exact truncated
     P(attack) (see `WorstCaseBounds`).
     """
-    if m_c < 1:
-        raise ConfigError("report budget m_c must be >= 1")
+    m_c = _count(m_c, "report budget m_c")
     p1 = _attacked_fraction(q_effective) * detector.p_d
     if p1 <= detector.p_f:
         raise NumericalError("worst-case bounds need q_effective * p_d > p_f")
@@ -459,12 +456,8 @@ def simulate_detection(
     the stream and bound memory: they run one after another in chunk order
     and their counts are summed, so the summary is the same on any machine.
     """
-    trials = int(_whole(trials, "trials"))
-    m_c = int(_whole(m_c, "report budget m_c"))
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if m_c < 1:
-        raise ConfigError("report budget m_c must be >= 1")
+    trials = _count(trials, "trials")
+    m_c = _count(m_c, "report budget m_c")
     if truth not in (H0, H1):
         raise ConfigError("truth must be 'h0' or 'h1'")
     _, stop, p1, z1, z0 = report_segments(plan, detector)[0]

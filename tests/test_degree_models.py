@@ -78,6 +78,13 @@ class TestValidation:
             lambda: DegreeModel.exponential(float("nan")),
             lambda: DegreeModel.exponential(float("-inf")),
             lambda: DegreeModel.empirical({1: float("nan"), 2: 1.0}),
+            # a fractional degree was truncated to {2: .5, 3: .5}; masses of ±inf or near the float
+            # limit ended in a bare ValueError or OverflowError from fsum
+            lambda: DegreeModel.empirical({2.5: 0.5, 3: 0.5}),
+            lambda: DegreeModel.empirical({1: float("inf"), 2: float("-inf")}),
+            lambda: DegreeModel.empirical({1: 1e308, 2: 1e308}),
+            # built directly, a fractional degree fed `moments` 2.5 and `discrete_pmf` 2
+            lambda: DegreeModel(kind="empirical", histogram={2.5: 0.5, 3: 0.5}, k_min=1, k_max=3),
         ],
     )
     def test_invalid_models_rejected(self, build):

@@ -188,6 +188,15 @@ class TestPowergrid:
         for row in markers:
             assert 0.0 <= float(row["lcc_at_m1"]) <= 1.0
 
+    @pytest.mark.parametrize("pf", ["0.1", "0.2"])
+    def test_markers_skip_pd_at_or_below_pf(self, toy_graph_path, tmp_path, pf):
+        # as in m1 and empirical; at pf = 0.1 the pd = 0.1 point was a degenerate test (exit 3),
+        # at pf = 0.2 the pd = 0.1 point was a config error (exit 2)
+        out = tmp_path / "pg.csv"
+        assert run(["powergrid", "--graph", toy_graph_path, "--trials", "2", "--pf", pf, "--out", str(out)]) == 0
+        pds = [float(r["pd"]) for r in parse_csv(out.read_text()) if r["record"] == "m1"]
+        assert pds and min(pds) > float(pf)
+
     def test_graph_required(self):
         from seqdef import ConfigError
 
