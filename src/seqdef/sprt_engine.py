@@ -12,6 +12,10 @@ attacked set at p_d, then inert reports (zero LLR) for a targeted one.
 The per-report LLR, the count-form decision, the Monte-Carlo success-time
 kernel and the LLR moments (report counts, bounds, KL rate) read them.
 
+The count-form rule is stated in `decision_by_counts` and tabulated by
+`_verdict_table` as Wald's integer stopping bounds per one-report count,
+which the Monte-Carlo kernel reads.
+
 Since detectors are i.i.d. given a_i, only the a_i sequence matters for
 simulation; the descending-degree report order is a labeling convention.
 Betweenness-targeted plans reuse the degree-targeted report model (an
@@ -20,8 +24,9 @@ attacked subset of the first M reporters).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,8 +257,10 @@ def step(
 
 def truncate(trace: SprtTrace, m_c: int) -> str:
     """Forced decision at the report budget: attack iff the LLR is positive."""
-    if m_c < 1:
-        raise ValueError("truncation length m_c must be >= 1")
+    try:
+        m_c = _count(m_c, "truncation length m_c")
+    except ConfigError as err:  # a bad budget here is a caller's bug, as is truncating a decided trace
+        raise ValueError(*err.args) from None
     if trace.state != CONTINUE:
         raise ValueError("truncating a decided trace")
     trace.state = ACCEPT_ATTACK if trace.cumulative_llr > 0.0 else ACCEPT_NULL
@@ -262,7 +269,7 @@ def truncate(trace: SprtTrace, m_c: int) -> str:
 
 
 def _count_llr(d, m, z1, z0):
-    """LLR after m informative reports with d ones; m may be an integer array."""
+    """LLR after m informative reports with d ones."""
     return d * z1 + (m - d) * z0
 
 
@@ -278,10 +285,15 @@ def decision_by_counts(
     The LLR d_m*z1 + (min(m, stop) - d_m)*z0 of the first report segment;
     must agree with the stepwise test on every trajectory. Targeted plans
     are inert beyond the attacked set, so d_m counts successes among the
-    first min(m, M) reports only. The Monte-Carlo kernel classifies its
-    (m, d_m) states with the same expression, `_count_llr`.
+    first min(m, M) reports only, so d_m <= min(m, M). It is the
+    reference for `_verdict_table`, which tabulates the same expression,
+    `_count_llr`, for the Monte-Carlo kernel.
     """
+    m = _count(m, "report count m")
+    d_m = _count(d_m, "success count d_m", 0)
     _, stop, _, z1, z0 = report_segments(plan, detector)[0]
+    if d_m > min(m, stop):
+        raise ConfigError(f"success count d_m = {d_m} exceeds the {min(m, stop)} informative reports")
     lam = _count_llr(d_m, min(m, stop), z1, z0)
     if lam >= risk.log_a:
         return ACCEPT_ATTACK
@@ -377,58 +389,57 @@ def worst_case_bounds(
     )
 
 
-def _drift_exit(d, z1, z0, log_a, log_b, limit):
-    """First m > d at which d ones and m - d zeros cross the threshold the zeros drift to.
+def _verdict_table(z1, z0, log_a, log_b, limit):
+    """Wald's table of the count-form rule: a cached function d -> (lo, hi, forced).
 
-    A closed-form estimate fixed up against `_count_llr`; above `limit` if no m up to it crosses.
+    With d ones among m reports, d <= m <= limit, the test goes on while lo <= m < hi. Below lo
+    it gives the verdict the zeros move the LLR away from (attack if z0 <= 0, else null), from
+    hi on the other one; `forced` is whether the truncated verdict at m = limit is attack. For
+    fixed d the float LLR is monotone in m, since rounding is, so bisection finds its exact flips.
     """
-    past, bound = (operator.le, log_b) if z0 < 0.0 else (operator.ge, log_a)
-    k = (bound - d * z1) / z0 if z0 else math.inf
-    m = d + max(1, math.ceil(min(k, limit)))
-    while m > d + 1 and past(_count_llr(d, m - 1, z1, z0), bound):
-        m -= 1
-    while m <= limit and not past(_count_llr(d, m, z1, z0), bound):
-        m += 1
-    return m
+    crossed = (lambda x: x > log_b, lambda x: x >= log_a) if z0 > 0.0 else (lambda x: x < log_a, lambda x: x <= log_b)
+
+    @functools.cache
+    def table(d):
+        lo, hi = (bisect.bisect_left(range(limit + 1), True, d, key=lambda m: past(_count_llr(d, m, z1, z0))) for past in crossed)
+        return lo, hi, _count_llr(d, limit, z1, z0) > 0.0
+
+    return table
 
 
-def _detection_chunk(success, z1, z0, limit, log_a, log_b, m_c, rows, rng):
+def _detection_chunk(success, table, limit, m_c, rows, rng):
     """Run `rows` tests on `rng`'s stream, one geometric draw per run and one-report.
 
     Reports 1..limit are ones with probability `success`; later ones are
-    inert. In round j every undecided run holds j - 1 ones, so its zeros
-    move the LLR towards one threshold (log B if z0 < 0, log A if z0 > 0),
-    reached at one report count, `_drift_exit`. A run whose next one-report
-    comes later stops there, or at m_c if that count is past `limit`; the
-    others are classified at their one-report. Returns (ta, tn, ua, un,
-    stop_sum, stop_max): attack and null verdicts at a threshold, then at
-    truncation, and the sum and maximum of the stop indices.
+    inert. In round j every undecided run holds d = j - 1 ones, and its zeros
+    carry it to `table(d)`'s hi. A run whose next one-report comes later stops
+    there, or at m_c if hi is past `limit`; the others are classified at their
+    one-report by `table(d + 1)`. Returns (below, above, ua, un, stop_sum,
+    stop_max): verdicts at a threshold below lo and from hi on, attack and
+    null verdicts at truncation, and the sum and maximum of the stop indices.
     """
-    if z1 == 0.0 and z0 == 0.0:  # inert stream: the LLR stays 0 and every run is truncated to null
-        return 0, 0, 0, rows, m_c * rows, m_c
-    ta = tn = ua = un = stop_sum = stop_max = 0
+    below = above = ua = un = stop_sum = stop_max = 0
     last = np.zeros(rows, dtype=np.int64)  # latest one-report of each undecided run, in run order
     d = 0  # one-reports so far, the same for every undecided run
     while last.size:
-        exit_m = _drift_exit(d, z1, z0, log_a, log_b, limit)
+        _, hi, forced = table(d)
         gaps = rng.geometric(success, last.size)
-        inside = gaps <= min(exit_m, limit) - last  # next one-report comes before the run leaves
+        inside = gaps <= min(hi, limit) - last  # next one-report comes before the run leaves
         t = last[inside] + gaps[inside]
         gone = last.size - t.size
-        if gone and exit_m <= limit:
-            ta, tn = (ta + gone, tn) if z0 > 0.0 else (ta, tn + gone)
-            stop_sum, stop_max = stop_sum + gone * exit_m, max(stop_max, exit_m)
+        if gone and hi <= limit:
+            above, stop_sum, stop_max = above + gone, stop_sum + gone * hi, max(stop_max, hi)
         elif gone:  # forced decision: attack iff the LLR is positive
-            ua, un = (ua + gone, un) if _count_llr(d, limit, z1, z0) > 0.0 else (ua, un + gone)
+            ua, un = (ua + gone, un) if forced else (ua, un + gone)
             stop_sum, stop_max = stop_sum + gone * m_c, m_c
         d += 1
-        lam = _count_llr(d, t, z1, z0)
-        attacks = int(np.count_nonzero(lam >= log_a))
-        live = (log_b < lam) & (lam < log_a)
+        lo, hi, _ = table(d)
+        live = (lo <= t) & (t < hi)
         stops, last = t[~live], t[live]
-        ta, tn = ta + attacks, tn + stops.size - attacks
+        from_hi = int(np.count_nonzero(stops >= hi))
+        below, above = below + stops.size - from_hi, above + from_hi
         stop_sum, stop_max = stop_sum + int(stops.sum()), max(stop_max, int(stops.max(initial=0)))
-    return ta, tn, ua, un, stop_sum, stop_max
+    return below, above, ua, un, stop_sum, stop_max
 
 
 def simulate_detection(
@@ -451,8 +462,8 @@ def simulate_detection(
     one-reports among the informative reports, 1..min(stop, m_c) of the
     first report segment. Round j draws `rng.geometric(success, size)` once
     for the runs still undecided, in run order: the gaps to their j-th
-    one-reports. States are classified by the count-form rule of
-    `decision_by_counts`; an inert first segment draws nothing. Chunks fix
+    one-reports. States are classified by `_verdict_table`, the count-form
+    rule as integers; an inert first segment draws nothing. Chunks fix
     the stream and bound memory: they run one after another in chunk order
     and their counts are summed, so the summary is the same on any machine.
     """
@@ -463,14 +474,17 @@ def simulate_detection(
     _, stop, p1, z1, z0 = report_segments(plan, detector)[0]
     success = p1 if truth == H1 else detector.p_f
     limit = min(stop, m_c)
+    if z1 == 0.0 and z0 == 0.0:  # inert stream: the LLR stays 0, so every run is truncated to null
+        return DetectionSummary(trials, float(m_c), m_c, 0, 0, 0, trials)
+    table = _verdict_table(z1, z0, risk.log_a, risk.log_b, limit)
     results = [
         _detection_chunk(
-            success, z1, z0, limit, risk.log_a, risk.log_b, m_c,
-            min(ROW_CHUNK, trials - k * ROW_CHUNK), rng_stream(seed, 0x5D, k),
+            success, table, limit, m_c, min(ROW_CHUNK, trials - k * ROW_CHUNK), rng_stream(seed, 0x5D, k)
         )
         for k in range(-(-trials // ROW_CHUNK))
     ]
-    ta, tn, ua, un, stop_sum = (sum(result[i] for result in results) for i in range(5))
+    below, above, ua, un, stop_sum = (sum(result[i] for result in results) for i in range(5))
+    ta, tn = (below, above) if z0 <= 0.0 else (above, below)
     return DetectionSummary(
         trials=trials,
         mean_stop_index=stop_sum / trials,

@@ -20,6 +20,7 @@ from seqdef import (
     NetworkGraph,
     RiskBudget,
     average_random_attack,
+    decision_by_counts,
     estimate_qc,
     feasible,
     generate,
@@ -56,6 +57,8 @@ SITES = {
     "simulate_detection.trials": (1, 10, lambda v: simulate_detection(PLAN, DET, RISK, 10, v, 0).trials, True),
     "simulate_detection.m_c": (1, 10, lambda v: simulate_detection(PLAN, DET, RISK, v, 10, 0), False),
     "per_report_llr.i": (1, 3, lambda v: per_report_llr(1, PLAN, DET, v), False),
+    "decision_by_counts.m": (1, 10, lambda v: decision_by_counts(1, v, PLAN, DET, RISK), False),
+    "decision_by_counts.d_m": (0, 2, lambda v: decision_by_counts(v, 10, PLAN, DET, RISK), False),
     "DegreeModel.k_min": (1, 2, lambda v: DegreeModel.er(3, k_min=v).k_min, True),
     "DegreeModel.k_max": (5, 10, lambda v: DegreeModel.er(3, k_min=5, k_max=v).k_max, True),
     "DegreeModel.n": (2, 10, lambda v: DegreeModel.er(3, n=v).n, True),
@@ -97,6 +100,15 @@ def test_simulate_attack_rejects_a_plan_sized_for_another_graph():
     for n in (GRAPH.n - 1, GRAPH.n + 1):
         with pytest.raises(ConfigError, match="sized for n="):
             simulate_attack(GRAPH, AttackPlan("degree", 0.5, n), 5, 0)
+
+
+def test_decision_by_counts_rejects_more_ones_than_reports():
+    # (7, 5) was classified as accept_attack; a targeted plan counts ones among its first M = 4 reports only
+    with pytest.raises(ConfigError, match="exceeds the 5 informative reports"):
+        decision_by_counts(7, 5, PLAN, DET, RISK)
+    with pytest.raises(ConfigError, match="exceeds the 4 informative reports"):
+        decision_by_counts(5, 10, AttackPlan("degree", 0.04, 100), DET, RISK)
+    assert decision_by_counts(4, 10, AttackPlan("degree", 0.04, 100), DET, RISK) == "accept_attack"
 
 
 def test_no_scalar_count_through_the_array_rule():

@@ -1,8 +1,10 @@
 """Sequential test: likelihood ratios, decisions, report counts, bounds."""
 
+import ast
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -34,7 +36,7 @@ from seqdef import (
 )
 
 from oracles import exact_truncated_test
-from seqdef.sprt_engine import _drift_exit
+from seqdef.sprt_engine import _count_llr, _llr_pair, _verdict_table
 
 RISK = RiskBudget(0.01, 0.001)
 
@@ -178,6 +180,10 @@ class TestStepAndTruncate:
     def test_truncate_validation(self):
         with pytest.raises(ValueError):
             truncate(SprtTrace(), 0)
+        # NaN was accepted as accept_null with stop_index nan, and 2.5 was kept as the stop index
+        for m_c in (math.nan, math.inf, -math.inf, 2.5):
+            with pytest.raises(ValueError, match="whole number"):
+                truncate(SprtTrace(), m_c)
         decided = SprtTrace(state="accept_attack")
         with pytest.raises(ValueError):
             truncate(decided, 5)
@@ -248,7 +254,7 @@ class TestSuccessTimeKernel:
         truth=st.sampled_from(["h0", "h1"]),
         gaps=st.lists(st.integers(1, 40), max_size=12),
     )
-    # float ties: the closed-form exit at d = 1 overshoots by one report; the LLR at m_c is exactly 0
+    # float ties: at d = 1 the zeros bring the LLR exactly onto log B at m = 3; the LLR at m_c is exactly 0
     @example("random", 1.0, 10, (0.375, 0.75), 0.375, 0.2, 20, "h1", [2])
     @example("random", 1.0, 10, (0.25, 0.75), 0.01, 0.01, 2, "h1", [1])
     def test_kernel_matches_count_form_and_step_property(self, scheme, q, n, probs, delta, theta, m_c, truth, gaps):
@@ -258,14 +264,14 @@ class TestSuccessTimeKernel:
         risk = RiskBudget(delta, theta)
         _, stop, p1, z1, z0 = report_segments(plan, det)[0]
         limit = min(stop, m_c)
-        drift = "accept_null" if z0 < 0.0 else "accept_attack"
-        for d in range(4):
-            # the round's exit is the first report count at which the zeros' verdict appears
-            exit_m = _drift_exit(d, z1, z0, risk.log_a, risk.log_b, limit)
-            if min(exit_m - 1, limit) > d:
-                assert decision_by_counts(d, min(exit_m - 1, limit), plan, det, risk) != drift
-            if exit_m <= limit:
-                assert decision_by_counts(d, exit_m, plan, det, risk) == drift
+        # the table against the count-form rule at every lattice point d <= m <= limit
+        table = _verdict_table(z1, z0, risk.log_a, risk.log_b, limit)
+        below, above = ("accept_attack", "accept_null") if z0 <= 0.0 else ("accept_null", "accept_attack")
+        for d in range(min(limit, 40) + 1):
+            lo, hi, _ = table(d)
+            for m in range(max(d, 1), limit + 1):
+                verdict = below if m < lo else above if m >= hi else "continue"
+                assert decision_by_counts(d, m, plan, det, risk) == verdict, (d, m)
         # one run from scripted gaps, against the stepwise test on the same reports
         success = p1 if truth == "h1" else det.p_f
         with mock.patch("seqdef.sprt_engine.rng_stream", lambda *_: _ScriptedGaps(gaps, success)):
@@ -283,6 +289,33 @@ class TestSuccessTimeKernel:
         counts = [0, 0, 0, 0]
         counts[2 * forced + (verdict == "accept_null")] = 1
         assert summary == DetectionSummary(1, trace.stop_index, trace.stop_index, *counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        probs=st.tuples(st.floats(1e-4, 0.999), st.floats(1e-4, 0.999)),
+        counts=st.lists(st.integers(0, 10**12), min_size=3, max_size=3).map(sorted),
+    )
+    def test_count_llr_monotone_in_m(self, probs, counts):
+        # `_verdict_table` bisects for its crossings, which is exact only because the float
+        # LLR moves one way in m for fixed d: both signs of z0 (q * p_d above and below p_f)
+        z1, z0 = _llr_pair(*probs)
+        d, m, later = counts
+        for a, b in ((m, m + 1), (m, later)):
+            first, second = _count_llr(d, a, z1, z0), _count_llr(d, b, z1, z0)
+            assert first <= second if z0 > 0.0 else first >= second
+
+    def test_count_llr_called_only_by_the_rule_and_its_table(self):
+        # one count-form rule: `decision_by_counts` states it and `_verdict_table` tabulates it;
+        # any other reader of `_count_llr` would be a third copy to keep in step
+        readers = set()
+        for path in sorted(Path(seqdef.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Name) and node.id == "_count_llr") or (
+                        isinstance(node, ast.alias) and node.name == "_count_llr"
+                    ):
+                        readers.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+        assert readers == {"sprt_engine.py:decision_by_counts", "sprt_engine.py:_verdict_table"}
 
 
 class TestExpectedReports:
@@ -490,6 +523,15 @@ class TestSimulateDetection:
                 assert abs(got - p) <= 4 * math.sqrt(p * (1 - p) / trials), (plan, truth, got, p)
             variance = max(exact.second_moment - exact.mean**2, 0.0)
             assert abs(sim.mean_stop_index - exact.mean) <= 4 * math.sqrt(variance / trials) + 1e-9, (plan, truth)
+
+    def test_budget_far_past_every_decision_changes_nothing(self):
+        # every three_chunks run decides by report 151, so a budget of 10**12 gives the same
+        # summary; the verdict table is sized by the one-report count, never by m_c
+        (plan, det, _, trials, seed, truth), _ = self.PINNED["three_chunks"]
+        start = time.perf_counter()
+        huge = simulate_detection(plan, DetectorProfile(*det), RISK, 10**12, trials, seed, truth=truth)
+        assert time.perf_counter() - start < 1.0
+        assert huge == self._pinned("three_chunks")[0]
 
     def test_summary_independent_of_cpu_count(self):
         # one usable CPU and every usable CPU give the pinned summary, and neither run starts a thread pool
