@@ -407,10 +407,19 @@ def _verdict_table(z1, z0, log_a, log_b, limit):
     return table
 
 
-def _detection_chunk(success, table, limit, m_c, rows, rng):
-    """Run `rows` tests on `rng`'s stream, one geometric draw per run and one-report.
+def _exponential_gaps(rng, success):
+    """`gaps(size)`: Geometric(success) gaps on {1, 2, ...} from `rng`, as floats, one exponential E each.
 
-    Reports 1..limit are ones with probability `success`; later ones are
+    A gap is ceil(E / -log1p(-success)), numpy's geometric method below p = 1/3, raised to 1 where E = 0.
+    """
+    scale = -math.log1p(-success)
+    return lambda size: np.maximum(np.ceil(rng.standard_exponential(size) / scale), 1.0)
+
+
+def _detection_chunk(table, limit, m_c, rows, gaps):
+    """Run `rows` tests, one call of `gaps(size)` per round for the runs still undecided.
+
+    `gaps` gives float gaps to the next one-report; reports past `limit` are
     inert. In round j every undecided run holds d = j - 1 ones, and its zeros
     carry it to `table(d)`'s hi. A run whose next one-report comes later stops
     there, or at m_c if hi is past `limit`; the others are classified at their
@@ -423,9 +432,9 @@ def _detection_chunk(success, table, limit, m_c, rows, rng):
     d = 0  # one-reports so far, the same for every undecided run
     while last.size:
         _, hi, forced = table(d)
-        gaps = rng.geometric(success, last.size)
-        inside = gaps <= min(hi, limit) - last  # next one-report comes before the run leaves
-        t = last[inside] + gaps[inside]
+        gap = gaps(last.size)  # floats, compared before the cast, so a gap beyond int64 is never cast
+        inside = gap <= min(hi, limit) - last  # next one-report comes before the run leaves
+        t = last[inside] + gap[inside].astype(np.int64)
         gone = last.size - t.size
         if gone and hi <= limit:
             above, stop_sum, stop_max = above + gone, stop_sum + gone * hi, max(stop_max, hi)
@@ -479,7 +488,7 @@ def simulate_detection(
     table = _verdict_table(z1, z0, risk.log_a, risk.log_b, limit)
     results = [
         _detection_chunk(
-            success, table, limit, m_c, min(ROW_CHUNK, trials - k * ROW_CHUNK), rng_stream(seed, 0x5D, k)
+            table, limit, m_c, min(ROW_CHUNK, trials - k * ROW_CHUNK), _exponential_gaps(rng_stream(seed, 0x5D, k), success)
         )
         for k in range(-(-trials // ROW_CHUNK))
     ]

@@ -230,17 +230,6 @@ class TestCountFormAgreement:
                 break
 
 
-class _ScriptedGaps:
-    """Stands in for a chunk's generator: hands one run its scripted gaps between one-reports."""
-
-    def __init__(self, gaps, success):
-        self.gaps, self.success = list(gaps), success
-
-    def geometric(self, p, size):
-        assert p == self.success and size == 1
-        return np.array([self.gaps.pop(0) if self.gaps else 2**40])
-
-
 class TestSuccessTimeKernel:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -274,7 +263,13 @@ class TestSuccessTimeKernel:
                 assert decision_by_counts(d, m, plan, det, risk) == verdict, (d, m)
         # one run from scripted gaps, against the stepwise test on the same reports
         success = p1 if truth == "h1" else det.p_f
-        with mock.patch("seqdef.sprt_engine.rng_stream", lambda *_: _ScriptedGaps(gaps, success)):
+        script = iter(gaps)
+
+        def scripted(rng, p):
+            assert p == success
+            return lambda size: np.array([float(next(script, 2**40))])
+
+        with mock.patch("seqdef.sprt_engine._exponential_gaps", scripted):
             summary = simulate_detection(plan, det, risk, m_c, 1, seed=0, truth=truth)
         ones = set(np.cumsum(gaps).tolist())
         trace = SprtTrace()
