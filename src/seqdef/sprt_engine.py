@@ -47,10 +47,10 @@ ACCEPT_NULL = "accept_null"
 H0 = "h0"
 H1 = "h1"
 
-# Monte-Carlo stream layout: runs form chunks of ROW_CHUNK, each with its own
-# stream, so changing it changes every `simulate_detection` summary. A chunk
-# also bounds the memory of one kernel call; chunks run one after another.
-ROW_CHUNK = 4096
+# Monte-Carlo stream layout: runs form chunks of ROW_CHUNK, each with its own stream, so changing
+# it changes every `simulate_detection` summary. A chunk bounds one kernel call's memory (64 KiB per
+# array); chunks run one after another. 16,384 ran no faster in more memory; 32,768 ran slower.
+ROW_CHUNK = 8192
 
 
 def normal_cdf(x: float) -> float:
@@ -408,12 +408,8 @@ def _verdict_table(z1, z0, log_a, log_b, limit):
 
 
 def _exponential_gaps(rng, success):
-    """`gaps(size)`: Geometric(success) gaps on {1, 2, ...} from `rng`, as floats, one exponential E each.
-
-    A gap is ceil(E / -log1p(-success)), numpy's geometric method below p = 1/3, raised to 1 where E = 0.
-    """
-    scale = -math.log1p(-success)
-    return lambda size: np.maximum(np.ceil(rng.standard_exponential(size) / scale), 1.0)
+    """`gaps(size)`: float Geometric(success) gaps, ⌈E / -log1p(-success)⌉ of an exponential E, at least 1."""
+    return lambda size: np.maximum(np.ceil(rng.standard_exponential(size) / -math.log1p(-success)), 1.0)
 
 
 def _detection_chunk(table, limit, m_c, rows, gaps):
@@ -432,9 +428,9 @@ def _detection_chunk(table, limit, m_c, rows, gaps):
     d = 0  # one-reports so far, the same for every undecided run
     while last.size:
         _, hi, forced = table(d)
-        gap = gaps(last.size)  # floats, compared before the cast, so a gap beyond int64 is never cast
-        inside = gap <= min(hi, limit) - last  # next one-report comes before the run leaves
-        t = last[inside] + gap[inside].astype(np.int64)
+        t = last + gaps(last.size)  # floats, compared before the cast, so a gap beyond int64 is never cast
+        inside = t <= min(hi, limit)  # next one-report comes before the run leaves
+        t = t[inside].astype(np.int64)
         gone = last.size - t.size
         if gone and hi <= limit:
             above, stop_sum, stop_max = above + gone, stop_sum + gone * hi, max(stop_max, hi)

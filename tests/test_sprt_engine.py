@@ -36,7 +36,7 @@ from seqdef import (
 )
 
 from oracles import exact_truncated_test
-from seqdef.sprt_engine import _count_llr, _llr_pair, _verdict_table
+from seqdef.sprt_engine import ROW_CHUNK, _count_llr, _llr_pair, _verdict_table
 
 RISK = RiskBudget(0.01, 0.001)
 
@@ -459,8 +459,8 @@ class TestSimulateDetection:
     PINNED = {
         # three chunks of ROW_CHUNK runs, the last one partial
         "three_chunks": (
-            (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 10**4, 9000, 11, "h1"),
-            (20.32177777777778, 151, 8990, 10, 0, 0),
+            (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 10**4, 2 * ROW_CHUNK + 808, 11, "h1"),
+            (20.38209632387157, 219, 17179, 13, 0, 0),
         ),
         # weak reports: runs take many one-reports to decide, and some reach truncation at m_c
         "many_rounds_h1": (
@@ -474,11 +474,11 @@ class TestSimulateDetection:
         # M = 37 < m_c = 60: reports past M are inert, and undecided runs are truncated at m_c
         "targeted_h1": (
             (AttackPlan("intentional", 0.0037, 10**4), (0.3, 0.1), 60, 5000, 14, "h1"),
-            (32.9384, 60, 3465, 0, 1319, 216),
+            (32.5328, 60, 3494, 1, 1284, 221),
         ),
         "targeted_h0": (
             (AttackPlan("intentional", 0.0037, 10**4), (0.3, 0.1), 60, 5000, 15, "h0"),
-            (55.621, 60, 20, 736, 325, 3919),
+            (55.7488, 60, 15, 716, 324, 3945),
         ),
         "truncated_m3": (
             (AttackPlan("random", 0.9, 100), (0.3, 0.2), 3, 2000, 1, "h1"),
@@ -520,7 +520,7 @@ class TestSimulateDetection:
             assert abs(sim.mean_stop_index - exact.mean) <= 4 * math.sqrt(variance / trials) + 1e-9, (plan, truth)
 
     def test_budget_far_past_every_decision_changes_nothing(self):
-        # every three_chunks run decides by report 151, so a budget of 10**12 gives the same
+        # every three_chunks run decides by report 219, so a budget of 10**12 gives the same
         # summary; the verdict table is sized by the one-report count, never by m_c
         (plan, det, _, trials, seed, truth), _ = self.PINNED["three_chunks"]
         start = time.perf_counter()
@@ -530,11 +530,12 @@ class TestSimulateDetection:
 
     def test_summary_independent_of_cpu_count(self):
         # one usable CPU and every usable CPU give the pinned summary, and neither run starts a thread pool
+        trials = self.PINNED["three_chunks"][0][3]
         run = (
             "import sys; "
             "from seqdef import AttackPlan, DetectorProfile, RiskBudget, simulate_detection; "
             "print(repr(simulate_detection(AttackPlan('random', 0.3, 10**4), DetectorProfile(0.5, 0.01), "
-            "RiskBudget(0.01, 0.001), 10**4, 9000, 11, truth='h1'))); "
+            f"RiskBudget(0.01, 0.001), 10**4, {trials}, 11, truth='h1'))); "
             "print('concurrent.futures' in sys.modules)"
         )
         one_cpu = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
