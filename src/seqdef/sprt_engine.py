@@ -14,7 +14,8 @@ kernel and the LLR moments (report counts, bounds, KL rate) read them.
 
 The count-form rule is stated in `decision_by_counts` and tabulated by
 `_verdict_table` as Wald's integer stopping bounds per one-report count,
-which the Monte-Carlo kernel reads.
+which the Monte-Carlo kernel reads. The kernel draws the geometric gaps
+between one-reports by inverting one exponential each (Devroye 1986, ch. X).
 
 Since detectors are i.i.d. given a_i, only the a_i sequence matters for
 simulation; the descending-degree report order is a labeling convention.
@@ -225,7 +226,9 @@ def report_segments(plan: AttackPlan, detector: DetectorProfile) -> list[tuple]:
 
 
 def per_report_llr(x: int, plan: AttackPlan, detector: DetectorProfile, i: int) -> float:
-    """Log-likelihood ratio of report i (1-based), read off its report segment."""
+    """Log-likelihood ratio of report i (1-based), read off its report segment; x is a bit, 0 or 1."""
+    if not isinstance(x, (int, np.integer, np.bool_)) or x not in (0, 1):
+        raise ConfigError(f"report x must be a bit, 0 or 1, got {x!r}")
     i = _count(i, "report index i (it starts at 1)")
     _, _, _, z1, z0 = next(seg for seg in report_segments(plan, detector) if i <= seg[1])
     return z1 if x else z0
@@ -243,8 +246,8 @@ def step(
         raise ValueError("stepping a decided trace")
     i = len(trace.reports) + 1
     z = per_report_llr(x, plan, detector, i)
-    trace.reports.append(int(bool(x)))
-    trace.d_count += int(bool(x))
+    trace.reports.append(int(x))
+    trace.d_count += int(x)
     trace.cumulative_llr += z
     if trace.cumulative_llr >= risk.log_a:
         trace.state = ACCEPT_ATTACK
@@ -263,6 +266,8 @@ def truncate(trace: SprtTrace, m_c: int) -> str:
         raise ValueError(*err.args) from None
     if trace.state != CONTINUE:
         raise ValueError("truncating a decided trace")
+    if m_c < len(trace.reports):
+        raise ValueError(f"truncation length m_c = {m_c} is below the {len(trace.reports)} reports already stepped")
     trace.state = ACCEPT_ATTACK if trace.cumulative_llr > 0.0 else ACCEPT_NULL
     trace.stop_index = m_c
     return trace.state
@@ -462,15 +467,15 @@ def simulate_detection(
     H0; each run steps until a threshold crossing or the forced decision
     at m_c. Deterministic given (seed, parameters).
 
-    Stream contract: trials form chunks of ROW_CHUNK runs, chunk k drawing
-    from `rng_stream(seed, 0x5D, k)`. A run is given by the times of its
-    one-reports among the informative reports, 1..min(stop, m_c) of the
-    first report segment. Round j draws `rng.geometric(success, size)` once
-    for the runs still undecided, in run order: the gaps to their j-th
-    one-reports. States are classified by `_verdict_table`, the count-form
-    rule as integers; an inert first segment draws nothing. Chunks fix
-    the stream and bound memory: they run one after another in chunk order
-    and their counts are summed, so the summary is the same on any machine.
+    Stream contract: trials form chunks of ROW_CHUNK runs, chunk k drawing from
+    `rng_stream(seed, 0x5D, k)`. A run is given by the times of its one-reports among
+    the informative reports, 1..min(stop, m_c) of the first report segment. Round j
+    draws `standard_exponential(size)` once for the undecided runs, in run order, and
+    the gap to each one's j-th one-report is ⌈−E / log1p(−p)⌉, at least 1: numpy's
+    p < 1/3 geometric method, used for every p. States are classified by `_verdict_table`,
+    the count-form rule as integers; an inert first segment draws nothing. Chunks fix
+    the stream and bound memory: they run one after another in chunk order and their
+    counts are summed, so the summary is the same on any machine.
     """
     trials = _count(trials, "trials")
     m_c = _count(m_c, "report budget m_c")

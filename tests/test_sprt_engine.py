@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -36,7 +37,8 @@ from seqdef import (
 )
 
 from oracles import exact_truncated_test
-from seqdef.sprt_engine import ROW_CHUNK, _count_llr, _llr_pair, _verdict_table
+from seqdef._rand import rng_stream
+from seqdef.sprt_engine import ROW_CHUNK, _count_llr, _exponential_gaps, _llr_pair, _verdict_table
 
 RISK = RiskBudget(0.01, 0.001)
 
@@ -123,6 +125,26 @@ class TestPerReportLLR:
         with pytest.raises(ConfigError, match="starts at 1"):
             per_report_llr(1, AttackPlan("random", 0.5, 100), DetectorProfile(0.9, 0.001), 0)
 
+    @pytest.mark.parametrize("x", [7, -1, 0.5, math.nan, "1", 1.0])
+    def test_report_must_be_a_bit(self, x):
+        # 7 and NaN were read as a one: they accepted the attack, and 7 gave z1
+        det = DetectorProfile(0.9, 0.001)
+        plan = AttackPlan("random", 0.5, 10000)
+        with pytest.raises(ConfigError, match="must be a bit"):
+            per_report_llr(x, plan, det, 1)
+        trace = SprtTrace()
+        with pytest.raises(ConfigError, match="must be a bit"):
+            step(trace, x, plan, det, RISK)
+        assert trace == SprtTrace()
+
+    @pytest.mark.parametrize("x", [0, 1, False, True, np.int64(1), np.uint8(0), np.bool_(True), np.bool_(False)])
+    def test_bits_of_every_integer_type_accepted(self, x):
+        det = DetectorProfile(0.9, 0.001)
+        plan = AttackPlan("random", 0.5, 10000)
+        assert per_report_llr(x, plan, det, 1) == per_report_llr(int(x), plan, det, 1)
+        trace = step(SprtTrace(), x, plan, det, RISK)
+        assert trace.reports == [int(x)] and type(trace.reports[0]) is int and trace.d_count == int(x)
+
 
 class TestStepAndTruncate:
     def test_strong_first_report_accepts_immediately(self):
@@ -187,6 +209,16 @@ class TestStepAndTruncate:
         decided = SprtTrace(state="accept_attack")
         with pytest.raises(ValueError):
             truncate(decided, 5)
+        # a budget below the reports already stepped gave a verdict, with stop_index 1 after three reports
+        det, plan = DetectorProfile(0.8, 0.2), AttackPlan("intentional", 1.0, 10)
+        trace = SprtTrace()
+        for x in (1, 0, 1):
+            step(trace, x, plan, det, RISK)
+        for m_c in (1, 2):
+            with pytest.raises(ValueError, match="below the 3 reports already stepped"):
+                truncate(trace, m_c)
+        assert (trace.state, trace.stop_index) == ("continue", None)
+        assert truncate(trace, 3) == "accept_attack"
 
 
 class TestCountFormAgreement:
@@ -311,6 +343,51 @@ class TestSuccessTimeKernel:
                     ):
                         readers.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
         assert readers == {"sprt_engine.py:decision_by_counts", "sprt_engine.py:_verdict_table"}
+
+
+class TestExponentialGaps:
+    @pytest.mark.parametrize("p", [1e-12, 1e-6, 1e-3, 0.05, 0.15, 0.3, 0.33])
+    def test_equal_to_numpy_geometric_below_one_third(self, p):
+        # numpy draws geometric variates by this inversion below p = 1/3: same gaps, same next draw
+        for seed in range(10):
+            ours, numpys = rng_stream(seed, 0x5D, 0), rng_stream(seed, 0x5D, 0)
+            assert np.array_equal(_exponential_gaps(ours, p)(4096), numpys.geometric(p, 4096))
+            assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    def test_law_at_and_above_one_third(self, p):
+        # numpy searches here instead; the gaps must still be Geometric(p): each of 1..5 within 4 SE
+        n = 10**5
+        gaps = _exponential_gaps(rng_stream(3, 0x5D, 0), p)(n)
+        assert gaps.min() >= 1.0 and np.array_equal(gaps, np.floor(gaps))
+        for k in range(1, 6):
+            exact = (1 - p) ** (k - 1) * p
+            assert abs(np.count_nonzero(gaps == k) / n - exact) <= 4 * math.sqrt(exact * (1 - exact) / n), k
+
+    def test_zero_exponential_gives_gap_one(self):
+        # standard_exponential returns exactly 0 with probability about 2**-53 a draw, and ceil(0) is 0
+        zeros = SimpleNamespace(standard_exponential=lambda size: np.zeros(size))
+        for p in (1e-300, 0.2, 0.5, 0.9):
+            assert _exponential_gaps(zeros, p)(3).tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("p", [1e-18, 1e-300])
+    def test_vanishing_success_probability(self, p):
+        # gaps past int64 (1e-18) or near 1e300 (1e-300) are compared as floats, never cast, and raise
+        # no warning (warnings are errors here); no run sees a one-report, so each takes the all-zeros path
+        for plan, det, truth in (
+            (AttackPlan("random", 0.3, 100), DetectorProfile(0.5, p), "h0"),  # zeros drift down to log B
+            (AttackPlan("random", 2 * p, 100), DetectorProfile(0.5, 0.01), "h1"),  # zeros drift up to log A
+        ):
+            for m_c in (5, 10**12):
+                trace = SprtTrace()
+                while trace.state == "continue" and len(trace.reports) < m_c:
+                    step(trace, 0, plan, det, RISK)
+                forced = trace.state == "continue"
+                verdict = truncate(trace, m_c) if forced else trace.state
+                counts = [0, 0, 0, 0]
+                counts[2 * forced + (verdict == "accept_null")] = 3000
+                expected = DetectionSummary(3000, trace.stop_index, trace.stop_index, *counts)
+                assert simulate_detection(plan, det, RISK, m_c, 3000, seed=1, truth=truth) == expected
 
 
 class TestExpectedReports:
