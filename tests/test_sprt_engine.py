@@ -372,8 +372,9 @@ class TestExponentialGaps:
 
     @pytest.mark.parametrize("p", [1e-18, 1e-300])
     def test_vanishing_success_probability(self, p):
-        # gaps past int64 (1e-18) or near 1e300 (1e-300) are compared as floats, never cast, and raise
-        # no warning (warnings are errors here); no run sees a one-report, so each takes the all-zeros path
+        # gaps around int64's limit (p = 1e-18) or near 1e300 (p = 1e-300) are compared as floats, never
+        # cast, and raise no warning (warnings are errors here); no run sees a one-report, so each takes
+        # the all-zeros path
         for plan, det, truth in (
             (AttackPlan("random", 0.3, 100), DetectorProfile(0.5, p), "h0"),  # zeros drift down to log B
             (AttackPlan("random", 2 * p, 100), DetectorProfile(0.5, 0.01), "h1"),  # zeros drift up to log A
