@@ -9,8 +9,6 @@ reproduced from (seed, indices) alone.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -26,5 +24,6 @@ def _fold(indices: tuple[int, ...]) -> int:
 
 def rng_stream(seed: int, *indices: int) -> np.random.Generator:
     """Generator for the stream addressed by (seed, *indices)."""
+    import numpy as np
     key = np.array([int(seed) & _MASK64, _fold(indices)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConfigError, NoRootError
 
 ABS_TOL = 1e-10
@@ -33,6 +31,7 @@ def ceil_count(x: float) -> int:
 
 def _whole(values, what: str) -> np.ndarray:
     """`values` as int64; ConfigError unless every entry is a whole number."""
+    import numpy as np
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         arr = arr.astype(np.float64)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from ._rand import rng_stream
 from ._solve import _count
 from .errors import ConfigError
@@ -199,6 +197,7 @@ def thin(model: DegreeModel, q: float) -> MomentSummary:
 
 def discrete_pmf(model: DegreeModel) -> tuple[np.ndarray, np.ndarray]:
     """Normalized probability masses on the integer support [k_min, k_max]."""
+    import numpy as np
     ks = np.arange(model.k_min, model.k_max + 1, dtype=np.int64)
     if model.kind == ER:
         # Poisson masses via the multiplicative recurrence
@@ -218,6 +217,7 @@ def discrete_pmf(model: DegreeModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _continuous_inverse_cdf(model: DegreeModel, u: np.ndarray) -> np.ndarray:
+    import numpy as np
     a, b = float(model.k_min), float(model.k_max)
     if model.kind == POWER_LAW:
         s = 1.0 - model.alpha
@@ -228,6 +228,7 @@ def _continuous_inverse_cdf(model: DegreeModel, u: np.ndarray) -> np.ndarray:
 
 
 def _resample_overflow(draw, size, k_max):
+    import numpy as np
     draws = draw(size)
     while True:
         over = draws > k_max
@@ -237,6 +238,7 @@ def _resample_overflow(draw, size, k_max):
 
 
 def _draw(model: DegreeModel, size: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
     if model.kind == ER:
         return _resample_overflow(lambda m: rng.poisson(model.k_hat, size=m), size, model.k_max)
     if model.kind == EMPIRICAL:

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, fields
 
 from .degree_models import DegreeModel, moments
 from .errors import ConfigError, InfeasibleError, NumericalError, SubcriticalError
-from .graph_engine import average_random_attack, load_edge_list, simulate_attack
 from .percolation_analytic import qc_intentional, qc_random
 from .robust_design import min_detection
 from .sprt_engine import (
@@ -106,16 +106,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def parse_grid(text: str) -> list[float]:
-    """Parse non-empty 'a,b,c' lists or 'lo:hi:count[:log]' ranges into floats; log ranges need lo, hi > 0."""
+def parse_grid(text: str, finite: bool = True) -> list[float]:
+    """Parse non-empty 'a,b,c' lists or 'lo:hi:count[:log]' ranges into floats; log ranges need lo, hi > 0.
+
+    Every entry and range bound must be finite: NaN or ±inf is a ConfigError.
+    `finite=False` leaves that check to the caller, for grids of counts that
+    the count rule checks.
+    """
     text = text.strip()
     parts = text.split(":")
     log = parts[3:] == ["log"]
     try:
         if len(parts) == 1:
             values = [float(tok) for tok in text.split(",") if tok.strip()]
-            if not values:
-                raise ValueError("empty list")
+            if not values or (finite and not all(map(math.isfinite, values))):
+                raise ValueError("empty list or a NaN or infinite entry")
             return values
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except (ValueError, IndexError) as exc:
@@ -123,12 +128,16 @@ def parse_grid(text: str) -> list[float]:
     if len(parts) != (4 if log else 3) or count < 1 or (log and min(lo, hi) <= 0.0):
         raise ConfigError(f"bad grid spec {text!r}")
     if count == 1:
-        return [lo]
-    if log:
+        values = [lo]
+    elif log:
         ratio = (hi / lo) ** (1.0 / (count - 1))
-        return [lo * ratio**i for i in range(count)]
-    step = (hi - lo) / (count - 1)
-    return [lo + step * i for i in range(count)]
+        values = [lo * ratio**i for i in range(count)]
+    else:
+        step = (hi - lo) / (count - 1)
+        values = [lo + step * i for i in range(count)]
+    if finite and not all(map(math.isfinite, (lo, hi, *values))):  # a bound, or a range too wide for floats
+        raise ConfigError(f"bad grid spec {text!r}")
+    return values
 
 
 def _detectors(pd_grid, pf: float):
@@ -280,6 +289,7 @@ def cmd_empirical(config: ExperimentConfig) -> str:
 
 def cmd_powergrid(config: ExperimentConfig) -> str:
     """Attack curves plus detection markers for a real topology; markers skip p_d <= p_f, as m1 does."""
+    from .graph_engine import average_random_attack, load_edge_list, simulate_attack  # loads numpy
     if not config.graph:
         raise ConfigError("powergrid needs --graph PATH (edge list)")
     graph = load_edge_list(config.graph)
@@ -322,8 +332,8 @@ def cmd_operation_curves(config: ExperimentConfig) -> str:
     columns = ["m_c", "pf", "feasible", "pd_min"]
     rows = []
     feasible_points = 0
-    for mc in parse_grid(config.mc_list):
-        m_c = _count(mc, "mc_list entry")
+    for mc in parse_grid(config.mc_list, finite=False):
+        m_c = _count(mc, "mc_list entry")  # the count rule rejects NaN and ±inf too
         for pf in parse_grid(config.pf_grid):
             try:
                 point = min_detection(pf, risk, m_c)

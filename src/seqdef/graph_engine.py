@@ -426,7 +426,7 @@ def _ordered_map(fn, tasks: range):
     if workers < 2:
         yield from map(fn, tasks)
         return
-    # imported here, so that `import seqdef` stays cheap
+    # imported here, so that importing `graph_engine` stays cheap
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

@@ -28,9 +28,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ._rand import rng_stream
 from ._solve import _count, ceil_count, clamp01
@@ -204,7 +203,9 @@ def _llr_pair(p1: float, p0: float) -> tuple[float, float]:
     """(z1, z0): LLR of a one and of a zero report, success prob p1 vs p0; 0.0 where p1 == p0."""
     if p1 == p0:
         return 0.0, 0.0
-    return math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0))
+    ratio = p1 / p0
+    z1 = math.log(ratio) if ratio < math.inf else math.log(p1) - math.log(p0)  # the ratio overflows for a subnormal p0
+    return z1, math.log((1.0 - p1) / (1.0 - p0))
 
 
 def report_segments(plan: AttackPlan, detector: DetectorProfile) -> list[tuple]:
@@ -227,7 +228,8 @@ def report_segments(plan: AttackPlan, detector: DetectorProfile) -> list[tuple]:
 
 def per_report_llr(x: int, plan: AttackPlan, detector: DetectorProfile, i: int) -> float:
     """Log-likelihood ratio of report i (1-based), read off its report segment; x is a bit, 0 or 1."""
-    if not isinstance(x, (int, np.integer, np.bool_)) or x not in (0, 1):
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if not isinstance(x, (int, np.integer, np.bool_) if np else int) or x not in (0, 1):
         raise ConfigError(f"report x must be a bit, 0 or 1, got {x!r}")
     i = _count(i, "report index i (it starts at 1)")
     _, _, _, z1, z0 = next(seg for seg in report_segments(plan, detector) if i <= seg[1])
@@ -414,7 +416,9 @@ def _verdict_table(z1, z0, log_a, log_b, limit):
 
 def _exponential_gaps(rng, success):
     """`gaps(size)`: float Geometric(success) gaps, ⌈E / -log1p(-success)⌉ of an exponential E, at least 1."""
-    return lambda size: np.maximum(np.ceil(rng.standard_exponential(size) / -math.log1p(-success)), 1.0)
+    import numpy as np
+    rate = max(-math.log1p(-success), 1e-300)  # a subnormal divisor (p below ~2.2e-308) overflows the quotient
+    return lambda size: np.maximum(np.ceil(rng.standard_exponential(size) / rate), 1.0)
 
 
 def _detection_chunk(table, limit, m_c, rows, gaps):
@@ -428,6 +432,7 @@ def _detection_chunk(table, limit, m_c, rows, gaps):
     stop_max): verdicts at a threshold below lo and from hi on, attack and
     null verdicts at truncation, and the sum and maximum of the stop indices.
     """
+    import numpy as np
     below = above = ua = un = stop_sum = stop_max = 0
     last = np.zeros(rows, dtype=np.int64)  # latest one-report of each undecided run, in run order
     d = 0  # one-reports so far, the same for every undecided run
@@ -471,8 +476,8 @@ def simulate_detection(
     `rng_stream(seed, 0x5D, k)`. A run is given by the times of its one-reports among
     the informative reports, 1..min(stop, m_c) of the first report segment. Round j
     draws `standard_exponential(size)` once for the undecided runs, in run order, and
-    the gap to each one's j-th one-report is ⌈−E / log1p(−p)⌉, at least 1: numpy's
-    p < 1/3 geometric method, used for every p. States are classified by `_verdict_table`,
+    the gap to each one's j-th one-report is ⌈E / max(−log1p(−p), 1e-300)⌉, at least 1:
+    numpy's p < 1/3 geometric method, used for every p. States are classified by `_verdict_table`,
     the count-form rule as integers; an inert first segment draws nothing. Chunks fix
     the stream and bound memory: they run one after another in chunk order and their
     counts are summed, so the summary is the same on any machine.

@@ -57,7 +57,10 @@ class TestParseGrid:
     def test_bad_specs_rejected(self):
         from seqdef import ConfigError
 
-        for spec in ("1:2", "1:2:0", "1:2:3:cubic", "a,b", "", ","):
+        non_finite = ("1,nan", "inf", "nan:1:3", "0:inf:3", "-inf:1:3", "0:nan:1", "1:inf:3:log")
+        # finite bounds, but a step or ratio beyond float range makes NaN or inf entries
+        too_wide = ("-1e308:1e308:3", "1e-300:1e300:3:log")
+        for spec in ("1:2", "1:2:0", "1:2:3:cubic", "a,b", "", ",", *non_finite, *too_wide):
             with pytest.raises(ConfigError):
                 parse_grid(spec)
 
@@ -335,6 +338,30 @@ class TestExitCodes:
     )
     def test_bad_grid_input_is_config_error(self, argv, capsys):
         assert run(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("qc-sweep", "meandeg_grid"),
+            ("m1", "q_grid"),
+            ("m1", "pd_grid"),
+            ("m1", "pf_list"),
+            ("m1", "khat_grid"),
+            ("m1", "alpha_grid"),
+            ("m1", "beta_grid"),
+            ("worst-case", "qc_grid"),
+            ("empirical", "pd_grid"),
+            ("empirical", "pf_list"),
+            ("operation-curves", "mc_list"),
+            ("operation-curves", "pf_grid"),
+        ],
+    )
+    def test_non_finite_grid_entry_is_config_error(self, command, flag, value, capsys):
+        # worst-case --qc_grid nan and inf ended in a traceback (exit 1); m1 and empirical dropped a
+        # NaN p_d or p_f and exited 0 without its rows
+        assert run([command, f"--{flag}={value}"]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_numerical_exit_code_through_cli(self, tmp_path):

@@ -467,10 +467,10 @@ def test_import_leaves_scipy_out():
     # the package's runtime dependency is numpy alone; scipy is a test-only dependency.
     # concurrent.futures (and the logging it pulls in) and multiprocessing load only when
     # `_ordered_map` spreads betweenness source groups or random-trial groups over worker
-    # processes, so `import seqdef` stays cheap
+    # processes, so importing `graph_engine` stays cheap
     src = Path(seqdef.__file__).resolve().parents[1]
     modules = ("scipy", "concurrent.futures", "logging", "multiprocessing")
-    code = f"import sys, seqdef; sys.exit(any(m in sys.modules for m in {modules}))"
+    code = f"import sys, seqdef, seqdef.graph_engine; sys.exit(any(m in sys.modules for m in {modules}))"
     assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}).returncode == 0
 
 

@@ -370,11 +370,12 @@ class TestExponentialGaps:
         for p in (1e-300, 0.2, 0.5, 0.9):
             assert _exponential_gaps(zeros, p)(3).tolist() == [1.0, 1.0, 1.0]
 
-    @pytest.mark.parametrize("p", [1e-18, 1e-300])
+    @pytest.mark.parametrize("p", [1e-18, 1e-300, 1e-310, 5e-324])
     def test_vanishing_success_probability(self, p):
         # gaps around int64's limit (p = 1e-18) or near 1e300 (p = 1e-300) are compared as floats, never
         # cast, and raise no warning (warnings are errors here); no run sees a one-report, so each takes
-        # the all-zeros path
+        # the all-zeros path. At a subnormal p (1e-310, 5e-324) the gap divisor is held at 1e-300, which
+        # keeps the quotient finite, and p_d / p_f overflows, so z1 is taken as a difference of logs
         for plan, det, truth in (
             (AttackPlan("random", 0.3, 100), DetectorProfile(0.5, p), "h0"),  # zeros drift down to log B
             (AttackPlan("random", 2 * p, 100), DetectorProfile(0.5, 0.01), "h1"),  # zeros drift up to log A
