@@ -11,16 +11,17 @@ component by one union-find pass over the edges in decreasing t_e
 
 Betweenness orders come from exact scores. Every hanging tree is peeled
 away and scored by one closed form in its sizes; exact Brandes
-accumulation then runs on the 2-core alone, on flat (source, node) state
-arrays, one group of sources at a time. The scores are rounded to
-TIE_DIGITS significant digits before sorting, so float-noise ties break
-by index.
+accumulation then runs on the 2-core alone, LANES sources at a time, one
+bit lane each of a word per node (multi-source BFS, Then et al. 2014),
+over a shortest-path DAG sorted by level, with dependencies in reciprocal
+form. The scores are rounded to TIE_DIGITS significant digits before
+sorting, so float-noise ties break by index.
 
-Two kinds of work run in groups: Brandes sources and random-attack
+Two kinds of work run in groups: Brandes lane blocks and random-attack
 trials. Both go through one ordered map, `_ordered_map`, which spreads
 the groups over forked worker processes and yields their results in
-group order. Group sizes come from GROUP_STATES and the graph, never from
-the CPU count, so every output is the same on any machine.
+group order. Group sizes come from LANES, GROUP_STATES and the graph,
+never from the CPU count, so every output is the same on any machine.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .errors import ConfigError
 from .sprt_engine import INTENTIONAL, RANDOM, AttackPlan, _attack_scheme, _attacked_fraction
 
 REWIRE_SWEEPS = 100
-GROUP_STATES = 1 << 18  # array entries per task of `_ordered_map`: Brandes flat states plus half-edge scans, or nodes plus half-edges per random trial; fixed, so outputs never depend on the CPU count
+GROUP_STATES = 1 << 18  # array entries per task of `_ordered_map`: nodes plus half-edges, summed over a group's Brandes lanes or random trials; fixed, so outputs never depend on the CPU count
+LANES = 32  # Brandes sources per BFS, one bit each of a uint32 word per node
 TIE_DIGITS = 9
 
 
@@ -390,27 +392,80 @@ def _peel_trees(indptr: np.ndarray, degree: np.ndarray, neighbour: np.ndarray):
 
 
 def _brandes_batches(n: int, edges: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Weighted Brandes scores on a graph in which every node has an edge.
+    """Weighted Brandes scores on a graph in which every node has at least two edges.
 
     Source s adds weight[s] · δ_s(v) to node v, where δ_s(v) sums, over
     targets t, weight[t] times the share of s-t shortest paths through v.
-    The sources are split once, into contiguous groups sized so that a
-    group's flat arrays hold about GROUP_STATES entries; each group is one
-    `_brandes_group` call, run through `_ordered_map`, and returns one
-    partial score vector, which the parent adds in group order. Float sums
-    depend on their order, so the split depends on the graph alone, never
-    on the CPU count: the scores are the same bit for bit whether the
-    groups run inline or in forked workers.
+    The sources run LANES at a time, one `_brandes_lanes` call each, in
+    groups of whole lane blocks of about GROUP_STATES node and half-edge
+    entries (one block on the stand-in; a small graph is one group, inline).
+    The parent adds the groups' partial scores in group order. Float sums
+    depend on their order, so the split depends on the graph alone, never on
+    the CPU count: the scores are the same bit for bit inline or forked.
     """
     indptr, degree, neighbour = _csr(n, edges)
-    hop = neighbour - np.repeat(np.arange(n), degree)
-    del neighbour  # the groups set the peak memory
-    size = max(1, GROUP_STATES // (n + hop.size))
-    group = functools.partial(_brandes_group, n, indptr, degree, hop, weight, size)
+    size = LANES * max(1, GROUP_STATES // (LANES * (n + neighbour.size)))
+    group = functools.partial(_brandes_group, n, indptr, neighbour, np.repeat(np.arange(n), degree), weight, size)
     scores = np.zeros(n)
     for partial in _ordered_map(group, range(0, n, size)):
         scores += partial
     return scores
+
+
+def _brandes_group(n, indptr, neighbour, tail, weight, size, lo) -> np.ndarray:
+    """Weighted Brandes scores of the sources lo .. lo + size - 1, summed over their lane blocks in order."""
+    return sum(_brandes_lanes(n, indptr, neighbour, tail, weight, j) for j in range(lo, min(lo + size, n), LANES))
+
+
+def _brandes_lanes(n, indptr, neighbour, tail, weight, lo) -> np.ndarray:
+    """Weighted Brandes scores of the sources lo .. lo + LANES - 1, source lo + j in bit lane j.
+
+    BFS runs on words: bit j of word v is set once lane j reaches v, and a
+    level is the OR over each node's half-edges (reduceat needs every node
+    to own one) less what is seen. Levels are written into bit planes and
+    unpacked once. An unreached (v, j) stays at level 0: neither it nor
+    lane j's source is adjacent to a node one level deeper in lane j. The
+    shortest-path DAG holds every (half-edge, lane) whose head is one level
+    below its tail, stably sorted by level, and σ sums along it level by
+    level. Dependencies go back up in reciprocal form, with the invariant
+    r = (weight + δ) / σ: r starts at weight / σ and adds r[head] to r[tail]
+    along each DAG edge, so δ = σ · (r - weight / σ), exactly 0 at a node
+    with no DAG child and at an unreached one (σ = 0).
+    """
+    src = np.arange(lo, min(lo + LANES, n))
+    origin = src * LANES + np.arange(src.size)
+    seen = np.zeros(n, dtype=np.uint32)
+    seen[src] = np.uint32(1) << np.arange(src.size, dtype=np.uint32)
+    front, planes, depth = seen, np.zeros((n.bit_length(), n), dtype=np.uint32), 0  # every level is below n
+    while (front := np.bitwise_or.reduceat(front[neighbour], indptr) & ~seen).any():
+        seen |= front
+        depth += 1
+        planes[[b for b in range(depth.bit_length()) if depth >> b & 1]] |= front  # the planes of depth's one bits
+    level = np.zeros((n, LANES), dtype=np.min_scalar_type(depth + 1))  # no level + 1 overflows
+    bits = np.unpackbits(planes[: depth.bit_length()].astype("<u4").view(np.uint8), axis=1, bitorder="little")
+    for b, plane in enumerate(bits.reshape(-1, n, LANES)):
+        level |= plane.astype(level.dtype) << b
+    tail_level = level[tail]
+    dag = np.flatnonzero(level[neighbour] == tail_level + 1)  # (half-edge, lane) codes e·LANES + j
+    at = tail_level.ravel()[dag]
+    dag = dag[np.argsort(at, kind="stable")]
+    edge = dag // LANES
+    tails = dag + (tail[edge] - edge) * LANES  # state codes v·LANES + j
+    heads = dag + (neighbour[edge] - edge) * LANES
+    bounds = np.cumsum(np.bincount(at, minlength=depth)).tolist()
+    steps = list(zip([0] + bounds[:-1], bounds))
+    sigma = np.zeros(n * LANES)
+    sigma[origin] = 1.0
+    for a, b in steps:
+        np.add.at(sigma, heads[a:b], sigma[tails[a:b]])
+    paths = sigma.reshape(n, LANES)
+    share = np.divide(weight[:, None], paths, out=np.zeros((n, LANES)), where=paths > 0).ravel()
+    r = share.copy()
+    for a, b in reversed(steps):
+        np.add.at(r, tails[a:b], r[heads[a:b]])
+    delta = sigma * (r - share)
+    delta[origin] = 0.0
+    return (delta.reshape(n, LANES)[:, : src.size] * weight[src]).sum(axis=1)
 
 
 def _ordered_map(fn, tasks: range):
@@ -420,7 +475,10 @@ def _ordered_map(fn, tasks: range):
     the workers finish in, so a caller that folds them as they come sums
     its floats in one fixed order. `fn` and its bound arrays travel with
     each task. Fork lets the workers inherit the imported package, and is
-    safe because the package starts no threads.
+    safe because the package starts no threads. Workers keep their heap
+    (`_keep_heap`): glibc otherwise hands each group's freed multi-MB arrays
+    back to the kernel, and a stand-in `powergrid` pass cost its workers
+    117-140k minor page faults; with the heap kept, about 17k.
     """
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers < 2:
@@ -430,50 +488,19 @@ def _ordered_map(fn, tasks: range):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_keep_heap) as pool:
         yield from pool.map(fn, tasks)
 
 
-def _brandes_group(n, indptr, degree, hop, weight, size, lo) -> np.ndarray:
-    """Weighted Brandes scores of the sources lo .. lo + size - 1, all at once.
+def _keep_heap():
+    """Pool initializer: glibc keeps freed blocks up to 32 MiB in the worker's heap and never trims it below 1 GiB."""
+    import ctypes
 
-    States are flat, s·n + v; the CSR arrays keep, per half-edge, the hop
-    from its end to its other end, so a frontier state s·n + u reaches
-    s·n + v by adding v - u. A level-synchronous BFS emits each level's
-    shortest-path DAG incidences and sums path counts σ over them; the
-    dependencies δ replay the levels in reverse.
-    """
-    src = np.arange(lo, min(lo + size, n))
-    origin = np.arange(src.size) * n + src
-    # 1 until a state is reached; int64, not bool, because numpy keeps freed blocks under
-    # 1 KiB cached per byte size, and masks of every length would pin that cache full
-    fresh = np.ones(src.size * n, dtype=np.int64)
-    sigma = np.zeros(src.size * n)
-    fresh[origin] = 0
-    sigma[origin] = 1.0
-    levels = []
-    front = origin
-    while front.size:
-        u = front % n
-        count = degree[u]
-        stop = np.cumsum(count)
-        # each frontier state with the CSR offset of its first half-edge, repeated per half-edge
-        tails, first = np.repeat(np.stack((front, indptr[u] - stop + count)), count, axis=1)
-        heads = tails + hop[first + np.arange(stop[-1])]
-        new = np.flatnonzero(fresh[heads])
-        tails, heads = tails[new], heads[new]
-        fresh[heads] = 0
-        np.add.at(sigma, heads, sigma[tails])
-        levels.append((tails, heads))
-        reached = np.zeros(src.size * n, dtype=bool)  # the next frontier, each state once
-        reached[heads] = True
-        front = np.flatnonzero(reached)
-    target = np.tile(weight, src.size)
-    delta = np.zeros(src.size * n)
-    for tails, heads in reversed(levels):
-        np.add.at(delta, tails, sigma[tails] * ((target[heads] + delta[heads]) / sigma[heads]))
-    delta[origin] = 0.0
-    return (weight[src, None] * delta.reshape(src.size, n)).sum(axis=0)
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc's; other C libraries may lack it
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
 def removal_order(graph: NetworkGraph, scheme: str, seed: int) -> np.ndarray:
@@ -522,21 +549,29 @@ def _survival_times(graph: NetworkGraph, order: np.ndarray) -> np.ndarray:
     return np.minimum(position[graph.edges[:, 0]], position[graph.edges[:, 1]])
 
 
-def _tau_by_removed(graph: NetworkGraph, order: np.ndarray) -> np.ndarray:
+def _tau_constants(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order-free part of `_tau_by_removed`: key base u·(n+1) + n by half-edge and by sorted position; 2r + 1."""
+    n = graph.n
+    degrees = graph.degrees()
+    rank = np.arange(2 * graph.edge_count) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+    return graph.edges.T.ravel() * (n + 1) + n, np.repeat(np.arange(n) * (n + 1) + n, degrees), 2.0 * rank + 1
+
+
+def _tau_by_removed(graph: NetworkGraph, order: np.ndarray, constants=None) -> np.ndarray:
     """Molloy-Reed tau of what survives each removal prefix of `order`, by removed count m = 0..n.
 
     Going back in time, a node's degree grows by one at each of its edges'
     survival times, so its half-edge of rank r (0 for the latest t_e) adds
     2r + 1 to the sum of squared degrees. Both sums are exact integers, and
-    tau is 0 once no edge survives.
+    tau is 0 once no edge survives. `constants`, from `_tau_constants`,
+    serves every order on one graph.
     """
     n = graph.n
+    base, offset, weights = _tau_constants(graph) if constants is None else constants
     times = _survival_times(graph, order)
-    # half-edges grouped by node, latest survival time first
-    key = np.sort(graph.edges.T.ravel() * (n + 1) + (n - np.concatenate((times, times))))
-    degrees = graph.degrees()
-    rank = np.arange(key.size) - np.repeat(np.cumsum(degrees) - degrees, degrees)
-    s2 = np.bincount(n - key % (n + 1), weights=2 * rank + 1, minlength=n + 1)[::-1].cumsum()[::-1]
+    # half-edges grouped by node, latest survival time first; a key's offset less the key is its time
+    key = np.sort(base - np.concatenate((times, times)))
+    s2 = np.bincount(offset - key, weights=weights, minlength=n + 1)[::-1].cumsum()[::-1]
     s1 = 2.0 * np.bincount(times, minlength=n + 1)[::-1].cumsum()[::-1]
     return np.divide(s2, s1, out=np.zeros(n + 1), where=s1 > 0)
 
@@ -606,7 +641,8 @@ def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
 def _trial_group(graph, scheme, seed, removed, trials, size, lo) -> list[tuple[np.ndarray, np.ndarray]]:
     """(LCC sizes by removed count, tau at `removed`) of each order of trials lo .. lo + size - 1."""
     orders = _removal_orders(graph, scheme, range(lo, min(lo + size, trials)), seed)
-    return [(_lcc_by_removed(graph, order), _tau_by_removed(graph, order)[removed]) for order in orders]
+    constants = _tau_constants(graph)
+    return [(_lcc_by_removed(graph, order), _tau_by_removed(graph, order, constants)[removed]) for order in orders]
 
 
 def _first_crossing(tau: np.ndarray) -> int:
@@ -625,5 +661,6 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)
     orders = _removal_orders(graph, scheme, range(trials), seed)
-    crossings = [_first_crossing(_tau_by_removed(graph, order)) / graph.n for order in orders]
+    constants = _tau_constants(graph)
+    crossings = [_first_crossing(_tau_by_removed(graph, order, constants)) / graph.n for order in orders]
     return QcEstimate(float(np.mean(crossings)), False)

@@ -203,6 +203,8 @@ def _llr_pair(p1: float, p0: float) -> tuple[float, float]:
     """(z1, z0): LLR of a one and of a zero report, success prob p1 vs p0; 0.0 where p1 == p0."""
     if p1 == p0:
         return 0.0, 0.0
+    if p1 == 0.0:
+        raise NumericalError("H1 success probability underflows to 0 (q * p_d below the float minimum)")
     ratio = p1 / p0
     z1 = math.log(ratio) if ratio < math.inf else math.log(p1) - math.log(p0)  # the ratio overflows for a subnormal p0
     return z1, math.log((1.0 - p1) / (1.0 - p0))

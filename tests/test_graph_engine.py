@@ -1,5 +1,7 @@
 """Graph construction, ingestion, metrics, and attack simulation."""
 
+import ast
+import ctypes
 import hashlib
 import itertools
 import multiprocessing
@@ -8,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -350,8 +353,8 @@ def test_betweenness_matches_networkx(g):
 
 
 def source_groups(core):
-    """Number of Brandes source groups on a 2-core, as `_brandes_batches` splits it."""
-    size = max(1, GROUP_STATES // (core.number_of_nodes() + 2 * core.number_of_edges()))
+    """Number of Brandes source groups on a 2-core, as `_brandes_batches` splits it: whole blocks of 32 lanes."""
+    size = 32 * max(1, GROUP_STATES // (32 * (core.number_of_nodes() + 2 * core.number_of_edges())))
     return -(-core.number_of_nodes() // size)
 
 
@@ -402,6 +405,72 @@ def test_betweenness_independent_of_cpu_count():
     assert source_groups(nx.k_core(to_networkx(g), 2)) > 1
     for _ in range(3):
         assert np.array_equal(np.frombuffer(inline), betweenness(g))
+    assert multiprocessing.active_children() == []
+
+
+def assert_betweenness_matches_networkx(g):
+    graph = to_networkx(g)
+    raw = nx.betweenness_centrality(graph, normalized=False)
+    assert np.allclose(betweenness(g, normalized=False), [2 * raw[v] for v in range(g.n)], rtol=1e-12, atol=1e-12)
+
+
+def test_betweenness_matches_networkx_with_unreached_lanes():
+    # a 2-core of three components, relabelled in index order, so that blocks of 32 lanes straddle
+    # two of them and some lanes never reach part of the nodes of their block's BFS
+    a = generate(DegreeModel.er(3.0, n=150), 150, seed=1)
+    b = generate(DegreeModel.er(4.0, n=120), 120, seed=2)
+    cycle = [(270 + i, 270 + (i + 1) % 20) for i in range(20)]
+    g = NetworkGraph(290, np.concatenate((a.edges, b.edges + 150, cycle)))
+    core = nx.k_core(to_networkx(g), 2)
+    assert nx.number_connected_components(core) >= 3
+    assert core.number_of_nodes() > 2 * 32
+    assert_betweenness_matches_networkx(g)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (600, [(i, (i + 1) % 600) for i in range(600)]),  # cycle C_600, 300 levels deep
+        (600, [(i, i + 2) for i in range(598)] + [(i, i + 1) for i in range(0, 600, 2)]),  # ladder, 300 rungs
+    ],
+    ids=["cycle", "ladder"],
+)
+def test_betweenness_matches_networkx_beyond_255_levels(n, edges):
+    # levels past 255 must not wrap in a narrow level type
+    assert_betweenness_matches_networkx(NetworkGraph(n, edges))
+
+
+def test_betweenness_order_on_stand_in_is_pinned():
+    # sha256 of the removal order's bytes, as the per-source frontier kernel gave it before the
+    # bit-lane kernel replaced it; float noise in the scores must not reorder any node
+    g = generate(DegreeModel.er(2.67, n=4941), 4941, seed=3)
+    digest = hashlib.sha256(removal_order(g, "betweenness", 0).tobytes()).hexdigest()
+    assert digest == "1ec86395b1b9ae290ca835b23f7a8e9606ab328a8f2cd06ce1036fa1babc7f20"
+    assert multiprocessing.active_children() == []
+
+
+def test_keep_heap_is_only_the_pool_initializer():
+    # the allocator settings are for forked workers alone; the calling process, and with it the
+    # inline one-CPU path and every in-process workload, keeps glibc's defaults
+    uses = []
+    for path in Path(seqdef.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        calls = [n for n in nodes if isinstance(n, ast.Call)]
+        initializers = {id(k.value) for call in calls for k in call.keywords if k.arg == "initializer"}
+        uses += [(path.name, id(n) in initializers) for n in nodes if isinstance(n, ast.Name) and n.id == "_keep_heap"]
+    assert uses == [("graph_engine.py", True)]
+
+
+def test_forked_betweenness_without_mallopt(monkeypatch):
+    # where libc has no mallopt the worker initializer does nothing; forked scores still equal the
+    # inline ones
+    g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
+    assert source_groups(nx.k_core(to_networkx(g), 2)) > 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = betweenness(g)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert np.array_equal(betweenness(g), inline)
     assert multiprocessing.active_children() == []
 
 

@@ -422,6 +422,14 @@ class TestExpectedReports:
         with pytest.raises(NumericalError):
             expected_reports_random(0.5, DetectorProfile(0.5, 0.25), RISK)
 
+    def test_underflowing_attack_probability_rejected(self):
+        # q * p_d rounds to 0 at the smallest subnormal q, and log(0) is a bare math domain error
+        det = DetectorProfile(0.4, 0.01)
+        with pytest.raises(NumericalError, match="underflows"):
+            report_segments(AttackPlan("random", 5e-324, 100), det)
+        with pytest.raises(NumericalError, match="underflows"):
+            expected_reports_random(5e-324, det, RISK)
+
 
 class TestNormalCdf:
     def test_half_at_zero(self):
