@@ -4,10 +4,15 @@ Every stochastic routine in the package draws from a Philox-4x64-10
 counter-based generator (numpy's implementation). A stream is addressed
 by the user seed plus a small tuple of stream indices (e.g. a trial
 number), so independent trials can run in parallel and any run can be
-reproduced from (seed, indices) alone.
+reproduced from (seed, indices) alone. A seed is any whole number; its
+low 64 bits address the stream.
 """
 
 from __future__ import annotations
+
+import numbers
+
+from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
 
@@ -23,7 +28,9 @@ def _fold(indices: tuple[int, ...]) -> int:
 
 
 def rng_stream(seed: int, *indices: int) -> np.random.Generator:
-    """Generator for the stream addressed by (seed, *indices)."""
+    """Generator for the stream addressed by (seed, *indices); ConfigError unless `seed` is a whole number."""
     import numpy as np
+    if not (isinstance(seed, numbers.Integral) or isinstance(seed, numbers.Real) and float(seed).is_integer()):
+        raise ConfigError(f"seed must be a whole number, got {seed!r}")  # int() would take 7.9 as 7, and "7"
     key = np.array([int(seed) & _MASK64, _fold(indices)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -358,7 +358,8 @@ _COMMANDS = {
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is not special
+    # '%' is literal; no header names the section "\n", so [DEFAULT] is an ordinary section with its own keys
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -370,10 +371,12 @@ def _read_config_file(path: str) -> dict[str, str]:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
-    merged: dict[str, str] = {}
+    where: dict[str, str] = {}
     for section in parser.sections():
-        merged.update(parser.items(section))
-    return merged
+        for key in parser[section]:
+            if where.setdefault(key, section) != section:
+                raise ConfigError(f"config key {key!r} is set in both [{where[key]}] and [{section}] of {path}")
+    return {key: parser[section][key] for key, section in where.items()}
 
 
 def _coerce(key: str, raw: str):

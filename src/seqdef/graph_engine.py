@@ -17,11 +17,11 @@ over a shortest-path DAG sorted by level, with dependencies in reciprocal
 form. The scores are rounded to TIE_DIGITS significant digits before
 sorting, so float-noise ties break by index.
 
-Two kinds of work run in groups: Brandes lane blocks and random-attack
-trials. Both go through one ordered map, `_ordered_map`, which spreads
-the groups over forked worker processes and yields their results in
-group order. Group sizes come from LANES, GROUP_STATES and the graph,
-never from the CPU count, so every output is the same on any machine.
+Two kinds of work run as many small tasks: Brandes lane blocks and
+random-attack trials. Both go through one ordered map, `_ordered_map`,
+which hands the tasks to forked worker processes in batches and yields
+one result per task, in task order. The caller folds those results in
+that order, so no output depends on the batch size or the CPU count.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import ConfigError
 from .sprt_engine import INTENTIONAL, RANDOM, AttackPlan, _attack_scheme, _attacked_fraction
 
 REWIRE_SWEEPS = 100
-GROUP_STATES = 1 << 18  # array entries per task of `_ordered_map`: nodes plus half-edges, summed over a group's Brandes lanes or random trials; fixed, so outputs never depend on the CPU count
+GROUP_STATES = 1 << 18  # array entries per batch of `_ordered_map` (each task's nodes plus half-edges); sets scheduling only, never an output
 LANES = 32  # Brandes sources per BFS, one bit each of a uint32 word per node
 TIE_DIGITS = 9
 
@@ -396,25 +396,15 @@ def _brandes_batches(n: int, edges: np.ndarray, weight: np.ndarray) -> np.ndarra
 
     Source s adds weight[s] · δ_s(v) to node v, where δ_s(v) sums, over
     targets t, weight[t] times the share of s-t shortest paths through v.
-    The sources run LANES at a time, one `_brandes_lanes` call each, in
-    groups of whole lane blocks of about GROUP_STATES node and half-edge
-    entries (one block on the stand-in; a small graph is one group, inline).
-    The parent adds the groups' partial scores in group order. Float sums
-    depend on their order, so the split depends on the graph alone, never on
-    the CPU count: the scores are the same bit for bit inline or forked.
+    The sources run LANES at a time, one `_brandes_lanes` task each,
+    through `_ordered_map`, and the blocks' partial scores are added in
+    block order. Float sums depend on their order, and this one is fixed by
+    the graph alone: the scores are the same bit for bit inline or forked,
+    in any batches.
     """
     indptr, degree, neighbour = _csr(n, edges)
-    size = LANES * max(1, GROUP_STATES // (LANES * (n + neighbour.size)))
-    group = functools.partial(_brandes_group, n, indptr, neighbour, np.repeat(np.arange(n), degree), weight, size)
-    scores = np.zeros(n)
-    for partial in _ordered_map(group, range(0, n, size)):
-        scores += partial
-    return scores
-
-
-def _brandes_group(n, indptr, neighbour, tail, weight, size, lo) -> np.ndarray:
-    """Weighted Brandes scores of the sources lo .. lo + size - 1, summed over their lane blocks in order."""
-    return sum(_brandes_lanes(n, indptr, neighbour, tail, weight, j) for j in range(lo, min(lo + size, n), LANES))
+    lanes = functools.partial(_brandes_lanes, n, indptr, neighbour, np.repeat(np.arange(n), degree), weight)
+    return sum(_ordered_map(lanes, range(0, n, LANES), LANES * (n + neighbour.size)))
 
 
 def _brandes_lanes(n, indptr, neighbour, tail, weight, lo) -> np.ndarray:
@@ -468,19 +458,24 @@ def _brandes_lanes(n, indptr, neighbour, tail, weight, lo) -> np.ndarray:
     return (delta.reshape(n, LANES)[:, : src.size] * weight[src]).sum(axis=1)
 
 
-def _ordered_map(fn, tasks: range):
-    """Yield fn(task) for every task, in task order, on min(usable CPUs, tasks) forked workers.
+def _ordered_map(fn, tasks: range, states: int):
+    """Yield fn(task) for every task, in task order, forked in batches of about GROUP_STATES array entries.
 
-    Runs inline when that is 1. Results come in task order whatever order
-    the workers finish in, so a caller that folds them as they come sums
-    its floats in one fixed order. `fn` and its bound arrays travel with
-    each task. Fork lets the workers inherit the imported package, and is
+    A task holds `states` node and half-edge entries, so a batch is
+    max(1, GROUP_STATES // states) tasks. The map runs inline when one
+    batch holds every task or one CPU is usable; otherwise
+    min(usable CPUs, batches) forked workers take a batch at a time.
+    Results come in task order whatever order the workers finish in, so a
+    caller that folds them as they come sums its floats in one fixed
+    order, whatever the batch size. `fn` and its bound arrays travel with
+    each batch. Fork lets the workers inherit the imported package, and is
     safe because the package starts no threads. Workers keep their heap
-    (`_keep_heap`): glibc otherwise hands each group's freed multi-MB arrays
+    (`_keep_heap`): glibc otherwise hands each task's freed multi-MB arrays
     back to the kernel, and a stand-in `powergrid` pass cost its workers
     117-140k minor page faults; with the heap kept, about 17k.
     """
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    batch = max(1, GROUP_STATES // states)
+    workers = min(len(os.sched_getaffinity(0)), -(-len(tasks) // batch))
     if workers < 2:
         yield from map(fn, tasks)
         return
@@ -489,7 +484,7 @@ def _ordered_map(fn, tasks: range):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_keep_heap) as pool:
-        yield from pool.map(fn, tasks)
+        yield from pool.map(fn, tasks, chunksize=batch)
 
 
 def _keep_heap():
@@ -533,13 +528,9 @@ def _random_order(graph: NetworkGraph, seed: int, trial: int) -> np.ndarray:
     return rng_stream(seed, 0xA7, trial).permutation(graph.n)
 
 
-def _removal_orders(graph: NetworkGraph, scheme: str, trials: range, seed: int):
-    """Yield the removal orders of an attack: the seeded random orders of `trials`, or one static order."""
-    if scheme != RANDOM:
-        yield removal_order(graph, scheme, seed)
-        return
-    for trial in trials:
-        yield _random_order(graph, seed, trial)
+def _order(graph: NetworkGraph, scheme: str, seed: int, trial: int) -> np.ndarray:
+    """Removal order of one attack trial: the seeded random order of `trial`, or the scheme's one static order."""
+    return _random_order(graph, seed, trial) if scheme == RANDOM else removal_order(graph, scheme, seed)
 
 
 def _survival_times(graph: NetworkGraph, order: np.ndarray) -> np.ndarray:
@@ -557,7 +548,7 @@ def _tau_constants(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray, np.ndar
     return graph.edges.T.ravel() * (n + 1) + n, np.repeat(np.arange(n) * (n + 1) + n, degrees), 2.0 * rank + 1
 
 
-def _tau_by_removed(graph: NetworkGraph, order: np.ndarray, constants=None) -> np.ndarray:
+def _tau_by_removed(graph: NetworkGraph, order: np.ndarray, constants) -> np.ndarray:
     """Molloy-Reed tau of what survives each removal prefix of `order`, by removed count m = 0..n.
 
     Going back in time, a node's degree grows by one at each of its edges'
@@ -567,7 +558,7 @@ def _tau_by_removed(graph: NetworkGraph, order: np.ndarray, constants=None) -> n
     serves every order on one graph.
     """
     n = graph.n
-    base, offset, weights = _tau_constants(graph) if constants is None else constants
+    base, offset, weights = constants
     times = _survival_times(graph, order)
     # half-edges grouped by node, latest survival time first; a key's offset less the key is its time
     key = np.sort(base - np.concatenate((times, times)))
@@ -607,28 +598,25 @@ def simulate_attack(graph: NetworkGraph, plan: AttackPlan, step_count: int, seed
 def average_random_attack(graph: NetworkGraph, q: float, step_count: int, trials: int, seed: int) -> RemovalCurve:
     """Random-attack curve averaged over `trials` seeded removal orders.
 
-    The trials run in groups of max(1, GROUP_STATES // (n + 2·edges)),
-    fixed by the graph, through `_ordered_map`. Each group returns every
-    trial's own arrays and the parent adds them in trial order, so the
-    curve is the same bit for bit on any CPU count.
+    Each trial is one task of `_ordered_map` that returns its own arrays,
+    and the parent adds them in trial order, so the curve is the same bit
+    for bit on any CPU count and in any batches.
     """
     return _removal_curve(graph, RANDOM, q, step_count, trials, seed)
 
 
 def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
-    """Response curve from 0 to q, averaged over the orders of `_removal_orders`."""
+    """Response curve from 0 to q, averaged over the `trials` orders of `_order`."""
     step_count = _count(step_count, "step_count", 2)
     trials = _count(trials, "trials")
     fractions = np.linspace(0.0, _attacked_fraction(q), step_count)
     removed = np.minimum(np.round(fractions * graph.n).astype(np.int64), graph.n)
-    size = max(1, GROUP_STATES // (graph.n + 2 * graph.edge_count))
-    group = functools.partial(_trial_group, graph, scheme, seed, removed, trials, size)
+    response = functools.partial(_trial_response, graph, scheme, seed, removed, _tau_constants(graph))
     lcc_acc = np.zeros(graph.n + 1)
     tau_acc = np.zeros(step_count)
-    for responses in _ordered_map(group, range(0, trials, size)):
-        for lcc, tau in responses:
-            lcc_acc += lcc / graph.n
-            tau_acc += tau
+    for lcc, tau in _ordered_map(response, range(trials), graph.n + 2 * graph.edge_count):
+        lcc_acc += lcc / graph.n
+        tau_acc += tau
     lcc = lcc_acc / trials
     return RemovalCurve(
         removed_fraction=fractions,
@@ -638,11 +626,10 @@ def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
     )
 
 
-def _trial_group(graph, scheme, seed, removed, trials, size, lo) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(LCC sizes by removed count, tau at `removed`) of each order of trials lo .. lo + size - 1."""
-    orders = _removal_orders(graph, scheme, range(lo, min(lo + size, trials)), seed)
-    constants = _tau_constants(graph)
-    return [(_lcc_by_removed(graph, order), _tau_by_removed(graph, order, constants)[removed]) for order in orders]
+def _trial_response(graph, scheme, seed, removed, constants, trial) -> tuple[np.ndarray, np.ndarray]:
+    """(LCC sizes by removed count, tau at `removed`) of the removal order of `trial`."""
+    order = _order(graph, scheme, seed, trial)
+    return _lcc_by_removed(graph, order), _tau_by_removed(graph, order, constants)[removed]
 
 
 def _first_crossing(tau: np.ndarray) -> int:
@@ -657,10 +644,10 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     orders are deterministic.
     """
     trials = _count(trials, "trials")
-    _attack_scheme(scheme)
+    scheme = _attack_scheme(scheme)
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)
-    orders = _removal_orders(graph, scheme, range(trials), seed)
     constants = _tau_constants(graph)
+    orders = (_order(graph, scheme, seed, trial) for trial in range(trials if scheme == RANDOM else 1))
     crossings = [_first_crossing(_tau_by_removed(graph, order, constants)) / graph.n for order in orders]
     return QcEstimate(float(np.mean(crossings)), False)

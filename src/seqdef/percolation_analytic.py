@@ -146,23 +146,14 @@ def _qc_intentional_power_law(model: DegreeModel) -> CriticalValueReport:
     )
 
 
-def _qc_intentional_exponential(model: DegreeModel, exact_tail: bool) -> CriticalValueReport:
+def _qc_intentional_exponential(model: DegreeModel) -> CriticalValueReport:
     kn, beta, n = float(model.k_min), model.beta, model.n
     m = moments(model)
     target = 1.0 - m.mean_degree / (m.second_moment - m.mean_degree)  # = 1 - 1/(tau0-1)
 
-    if exact_tail:
-        # keep the k_min-dependent tail instead of the k_min ~ 0 simplification
-        def deletion_prob(u: float) -> float:
-            return (kn + beta - beta * math.log(u)) * u / (kn + beta)
-
-    else:
-
-        def deletion_prob(u: float) -> float:
-            return (1.0 - math.log(u)) * u
-
     def equation(q: float) -> float:
-        return deletion_prob(q + 1.0 / n) - target
+        u = q + 1.0 / n
+        return (1.0 - math.log(u)) * u - target  # link-deletion probability in the small-k_min simplification
 
     qc = bisect_root(equation, 1e-12, 1.0 - 1.0 / n, what="exponential intentional critical value")
     return CriticalValueReport(
@@ -174,12 +165,8 @@ def _qc_intentional_exponential(model: DegreeModel, exact_tail: bool) -> Critica
     )
 
 
-def qc_intentional(model: DegreeModel, exact_tail: bool = False) -> CriticalValueReport:
-    """Critical fraction when the highest-degree q fraction is removed.
-
-    `exact_tail` switches the exponential branch from the small-k_min
-    simplification to the exact link-deletion expression.
-    """
+def qc_intentional(model: DegreeModel) -> CriticalValueReport:
+    """Critical fraction when the highest-degree q fraction is removed."""
     if model.kind == EMPIRICAL:
         raise ConfigError("intentional-attack threshold needs a parametric model")
     if moments(model).tau <= 2.0:
@@ -188,4 +175,4 @@ def qc_intentional(model: DegreeModel, exact_tail: bool = False) -> CriticalValu
         return _qc_intentional_er(model)
     if model.kind == POWER_LAW:
         return _qc_intentional_power_law(model)
-    return _qc_intentional_exponential(model, exact_tail)
+    return _qc_intentional_exponential(model)

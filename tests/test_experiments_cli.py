@@ -246,6 +246,16 @@ class TestConfigHandling:
         assert run(["qc-sweep", "--config", str(cfg)]) == 0
         assert f"# out = {out}\n" in out.read_text()
 
+    def test_key_in_two_sections_rejected(self, tmp_path, capsys):
+        # the sections were merged, so the later [b] won silently and the run exited 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[a]\nmeandeg_grid = 3\n[b]\nmeandeg_grid = 4\n")
+        assert run(["qc-sweep", "--config", str(cfg)]) == 2
+        assert "'meandeg_grid' is set in both [a] and [b]" in capsys.readouterr().err
+        # a [DEFAULT] key is set in that section alone, not in each section that inherits it
+        cfg.write_text("[DEFAULT]\nseed = 9\n[a]\npd = 0.2\n[b]\nn = 50\n")
+        assert _read_config_file(str(cfg)) == {"seed": "9", "pd": "0.2", "n": "50"}
+
     def test_config_file_without_section(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("meandeg_grid = 4\n")

@@ -37,7 +37,14 @@ from seqdef import (
     simulate_attack,
 )
 from seqdef import graph_engine
-from seqdef.graph_engine import GROUP_STATES, _lcc_by_removed, _random_order, _removal_curve, _tau_by_removed
+from seqdef.graph_engine import (
+    GROUP_STATES,
+    _lcc_by_removed,
+    _random_order,
+    _removal_curve,
+    _tau_by_removed,
+    _tau_constants,
+)
 
 from oracles import min_disruptive_fraction
 
@@ -274,7 +281,7 @@ def test_edge_text_round_trip_property(g, tmp_path):
 def test_reverse_percolation_matches_brute_force(g, data):
     # every removal prefix: LCC by depth-first search and tau from the surviving degrees
     order = np.array(data.draw(st.permutations(range(g.n))))
-    lcc, tau = _lcc_by_removed(g, order), _tau_by_removed(g, order)
+    lcc, tau = _lcc_by_removed(g, order), _tau_by_removed(g, order, _tau_constants(g))
     for m in range(g.n + 1):
         alive = set(order[m:].tolist())
         adj = {v: [] for v in alive}
@@ -352,15 +359,20 @@ def test_betweenness_matches_networkx(g):
     assert np.allclose(betweenness(g), [normalized[v] for v in range(g.n)], rtol=0, atol=1e-12)
 
 
-def source_groups(core):
-    """Number of Brandes source groups on a 2-core, as `_brandes_batches` splits it: whole blocks of 32 lanes."""
-    size = 32 * max(1, GROUP_STATES // (32 * (core.number_of_nodes() + 2 * core.number_of_edges())))
-    return -(-core.number_of_nodes() // size)
+def batches(tasks, states):
+    """Batches in which `_ordered_map` hands out `tasks` tasks of `states` node and half-edge entries each."""
+    return -(-tasks // max(1, GROUP_STATES // states))
 
 
-def test_betweenness_matches_networkx_across_groups():
-    # every case the tree fold handles, on a graph whose 2-core spans more than two groups of
-    # sources, so that forked workers each run several groups
+def block_batches(core):
+    """Batches of the 32-source lane blocks that `betweenness` maps over a graph whose 2-core is `core`."""
+    nodes = core.number_of_nodes()
+    return batches(-(-nodes // 32), 32 * (nodes + 2 * core.number_of_edges()))
+
+
+def test_betweenness_matches_networkx_across_batches():
+    # every case the tree fold handles, on a graph whose 2-core spans more than two batches of
+    # lane blocks, so that forked workers each run several batches
     base = generate(DegreeModel.er(2.5, n=600), 600, seed=5)
     star = [(600, v) for v in range(601, 606)]
     pendant_path = [(0, 606), (606, 607), (607, 608), (608, 609)]
@@ -375,7 +387,7 @@ def test_betweenness_matches_networkx_across_groups():
     graph = to_networkx(g)
     core = nx.k_core(graph, 2)  # what Brandes runs on after the fold
     assert core.number_of_nodes() < (degrees > 1).sum()
-    assert source_groups(core) > 2
+    assert block_batches(core) > 2
     raw = nx.betweenness_centrality(graph, normalized=False)
     normalized = nx.betweenness_centrality(graph)
     assert np.allclose(betweenness(g, normalized=False), [2 * raw[v] for v in range(g.n)], rtol=1e-12, atol=1e-12)
@@ -394,15 +406,15 @@ def run_on_one_cpu(snippet):
 
 
 def test_betweenness_independent_of_cpu_count():
-    # one usable CPU runs the source groups inline; the scores must equal the forked runs'.
+    # one usable CPU runs the lane blocks inline; the scores must equal the forked runs'.
     # Workers finish in a different order from run to run, so partials summed as they
-    # complete rather than in group order show up in one of a few forked runs
+    # complete rather than in block order show up in one of a few forked runs
     inline = run_on_one_cpu(
         "import sys; from seqdef import DegreeModel, betweenness, generate; "
         "sys.stdout.buffer.write(betweenness(generate(DegreeModel.er(2.67, n=900), 900, seed=4)).tobytes())"
     )
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
-    assert source_groups(nx.k_core(to_networkx(g), 2)) > 1
+    assert block_batches(nx.k_core(to_networkx(g), 2)) > 1
     for _ in range(3):
         assert np.array_equal(np.frombuffer(inline), betweenness(g))
     assert multiprocessing.active_children() == []
@@ -465,7 +477,7 @@ def test_forked_betweenness_without_mallopt(monkeypatch):
     # where libc has no mallopt the worker initializer does nothing; forked scores still equal the
     # inline ones
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
-    assert source_groups(nx.k_core(to_networkx(g), 2)) > 1
+    assert block_batches(nx.k_core(to_networkx(g), 2)) > 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     inline = betweenness(g)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -474,21 +486,16 @@ def test_forked_betweenness_without_mallopt(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def trials_per_group(g):
-    """Random trials per group, as `_removal_curve` splits them."""
-    return max(1, GROUP_STATES // (g.n + 2 * g.edge_count))
-
-
 def test_random_curve_independent_of_cpu_count():
-    # one usable CPU runs the trial groups inline; the curve must equal the forked runs'. As for
-    # betweenness, a few forked runs catch trials added as their groups complete
+    # one usable CPU runs the trials inline; the curve must equal the forked runs'. As for
+    # betweenness, a few forked runs catch trials added as their batches complete
     inline = run_on_one_cpu(
         "import sys; from seqdef import DegreeModel, average_random_attack, generate; "
         "c = average_random_attack(generate(DegreeModel.er(2.67, n=2000), 2000, seed=4), 0.5, 9, 150, seed=6); "
         "sys.stdout.buffer.write(c.lcc_by_removed.tobytes() + c.remaining_tau.tobytes())"
     )
     g = generate(DegreeModel.er(2.67, n=2000), 2000, seed=4)
-    assert 150 > 3 * trials_per_group(g)
+    assert batches(150, g.n + 2 * g.edge_count) > 3
     for _ in range(3):
         curve = average_random_attack(g, 0.5, 9, 150, seed=6)
         assert np.array_equal(np.frombuffer(inline[: 8 * (g.n + 1)]), curve.lcc_by_removed)
@@ -497,46 +504,62 @@ def test_random_curve_independent_of_cpu_count():
 
 
 def test_random_curve_is_the_trial_order_sum():
-    # each group hands back every trial's own arrays and the parent adds them in trial order, so
-    # the curve over several groups is the plain loop over single trials, bit for bit
+    # each trial hands back its own arrays and the parent adds them in trial order, so the curve
+    # over several batches is the plain loop over single trials, bit for bit
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
     trials = 250
-    assert trials > 2 * trials_per_group(g)
+    assert batches(trials, g.n + 2 * g.edge_count) > 2
     curve = average_random_attack(g, 0.5, 7, trials, seed=2)
     removed = np.round(np.linspace(0.0, 0.5, 7) * g.n).astype(np.int64)
     lcc, tau = np.zeros(g.n + 1), np.zeros(7)
     for trial in range(trials):
         order = _random_order(g, 2, trial)
         lcc += _lcc_by_removed(g, order) / g.n
-        tau += _tau_by_removed(g, order)[removed]
+        tau += _tau_by_removed(g, order, _tau_constants(g))[removed]
     assert np.array_equal(curve.lcc_by_removed, lcc / trials)
     assert np.array_equal(curve.remaining_tau, tau / trials)
     assert multiprocessing.active_children() == []
 
 
-def test_groups_are_fixed_by_the_graph(monkeypatch):
-    # the parent adds random trials one by one, so a trial split that read the CPU count would
-    # leave the curve unchanged; the split is checked here, as the tasks handed to the map
+def test_batches_change_no_output(monkeypatch):
+    # the parent folds one result per lane block or trial in task order, so the batch size and the
+    # CPU count only schedule: one task per batch, the default and every task in one batch give the
+    # same bits, inline and forked. At the default the 2-core's blocks fill several batches of
+    # several blocks each
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
-    splits = []
-    for cpus in (1, 64):
-        tasks = []
+    core = nx.k_core(to_networkx(g), 2)
+    assert 1 < block_batches(core) < -(-core.number_of_nodes() // 32)
+    runs = set()
+    for states, cpus in itertools.product((1, GROUP_STATES, 2**40), (1, 2)):
+        monkeypatch.setattr(graph_engine, "GROUP_STATES", states)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-        monkeypatch.setattr(graph_engine, "_ordered_map", lambda fn, todo: tasks.append(todo) or map(fn, todo))
-        average_random_attack(g, 0.5, 5, 250, seed=0)
-        betweenness(g)
-        splits.append(tasks)
-    assert splits[0] == splits[1]
-    trials, sources = splits[0]
-    assert trials == range(0, 250, trials_per_group(g))
-    assert len(sources) == source_groups(nx.k_core(to_networkx(g), 2))
+        curve = average_random_attack(g, 0.5, 5, 40, seed=0)
+        runs.add((betweenness(g).tobytes(), curve.lcc_by_removed.tobytes(), curve.remaining_tau.tobytes()))
+    assert len(runs) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_only_ordered_map_reads_group_states():
+    # the batch size is a scheduling choice made in one place; code that read it elsewhere could
+    # make an output depend on it again
+    reads = []
+    for path in Path(seqdef.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        reads += [
+            (path.name, owner.get(id(n)))
+            for n in ast.walk(tree)  # names, attributes and imports; not the one assignment
+            if "GROUP_STATES" in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None))
+            and not isinstance(getattr(n, "ctx", None), ast.Store)
+        ]
+    assert reads == [("graph_engine.py", "_ordered_map")]
 
 
 def test_import_leaves_scipy_out():
     # the package's runtime dependency is numpy alone; scipy is a test-only dependency.
     # concurrent.futures (and the logging it pulls in) and multiprocessing load only when
-    # `_ordered_map` spreads betweenness source groups or random-trial groups over worker
-    # processes, so importing `graph_engine` stays cheap
+    # `_ordered_map` hands batches of lane blocks or random trials to worker processes, so
+    # importing `graph_engine` stays cheap
     src = Path(seqdef.__file__).resolve().parents[1]
     modules = ("scipy", "concurrent.futures", "logging", "multiprocessing")
     code = f"import sys, seqdef, seqdef.graph_engine; sys.exit(any(m in sys.modules for m in {modules}))"

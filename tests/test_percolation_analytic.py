@@ -137,19 +137,6 @@ class TestIntentionalAttack:
         residual = (1 - math.log(u)) * u + m.mean_degree / (m.second_moment - m.mean_degree) - 1
         assert abs(residual) < 1e-10
 
-    def test_exponential_exact_tail_variant(self):
-        model = DegreeModel.exponential(1.63, n=2783)
-        default = qc_intentional(model)
-        exact = qc_intentional(model, exact_tail=True)
-        m = moments(model)
-        kn, beta = model.k_min, model.beta
-        u = exact.qc + 1 / model.n
-        residual = (kn + beta - beta * math.log(u)) * u / (kn + beta) - (
-            1 - m.mean_degree / (m.second_moment - m.mean_degree)
-        )
-        assert abs(residual) < 1e-10
-        assert exact.qc != pytest.approx(default.qc, abs=1e-3)
-
     def test_er_tail_interpolation_against_scipy(self):
         model = DegreeModel.er(4)
         rep = qc_intentional(model)
