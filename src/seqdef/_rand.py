@@ -27,10 +27,15 @@ def _fold(indices: tuple[int, ...]) -> int:
     return acc
 
 
+def _seed(seed) -> int:
+    """`seed` as an int; ConfigError unless it is a whole number. Every entry point that takes a seed checks it."""
+    if not (isinstance(seed, numbers.Integral) or isinstance(seed, numbers.Real) and float(seed).is_integer()):
+        raise ConfigError(f"seed must be a whole number, got {seed!r}")  # int() would take 7.9 as 7, and "7"
+    return int(seed)
+
+
 def rng_stream(seed: int, *indices: int) -> np.random.Generator:
     """Generator for the stream addressed by (seed, *indices); ConfigError unless `seed` is a whole number."""
     import numpy as np
-    if not (isinstance(seed, numbers.Integral) or isinstance(seed, numbers.Real) and float(seed).is_integer()):
-        raise ConfigError(f"seed must be a whole number, got {seed!r}")  # int() would take 7.9 as 7, and "7"
-    key = np.array([int(seed) & _MASK64, _fold(indices)], dtype=np.uint64)
+    key = np.array([_seed(seed) & _MASK64, _fold(indices)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -200,7 +200,7 @@ def discrete_pmf(model: DegreeModel) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
     ks = np.arange(model.k_min, model.k_max + 1, dtype=np.int64)
     if model.kind == ER:
-        # Poisson masses via the multiplicative recurrence
+        # Poisson masses from their logarithms (lgamma), so k! at k_max = 1000 does not overflow
         logp = ks * math.log(model.k_hat) - model.k_hat - np.array(
             [math.lgamma(k + 1.0) for k in ks]
         )

@@ -15,7 +15,9 @@ is byte-identical. Commands:
 ExperimentConfig is the one table of settings: each field name is both
 a config-file key and a command-line flag (--<name>), with the field's
 type and default. Flags override config-file keys, which override the
-defaults.
+defaults. Both arrive as text and are coerced by the field's type alike.
+The header echoes a float as .12g where that reads back exactly, else as
+its repr.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -80,13 +82,6 @@ class ExperimentConfig:
     alpha_grid: str = "2.1:3.8:18"
     beta_grid: str = "0.8:4.0:17"
 
-    def echo_lines(self) -> list[str]:
-        pairs = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            pairs.append(f"# {f.name} = {'' if value is None else _fmt(value)}")
-        return pairs
-
     def detector(self) -> DetectorProfile:
         return DetectorProfile(self.pd, self.pf)
 
@@ -147,10 +142,18 @@ def _detectors(pd_grid, pf: float):
             yield DetectorProfile(pd, pf)
 
 
-def _render(config: ExperimentConfig, columns: list[str], rows: list[list[str]]) -> str:
-    lines = config.echo_lines()
+def _render(config: ExperimentConfig, columns: list[str], rows: list[list]) -> str:
+    """The '# key = value' header, the column row, then the rows; `_fmt` writes each cell that is not a str."""
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        text = "" if value is None else _fmt(value)
+        if isinstance(value, float) and float(text) != value:
+            text = repr(value)  # .12g dropped digits (repr keeps NaN's text)
+        lines.append(f"# {f.name} = {text}")
     lines.append(",".join(columns))
-    lines.extend(",".join(row) for row in rows)
+    # the class test skips the call for label cells, which are most of m1's cells
+    lines.extend(",".join([c if c.__class__ is str else _fmt(c) for c in row]) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -198,7 +201,7 @@ def cmd_qc_sweep(config: ExperimentConfig) -> str:
             model = _model_for_mean_degree(kind, mean_degree, config)
             param = {"er": model.k_hat, "power_law": model.alpha, "exponential": model.beta}[kind]
             q_ran, q_int = _thresholds(model)
-            rows.append([kind, _fmt(mean_degree), _fmt(param), _fmt(q_ran), _fmt(q_int)])
+            rows.append([kind, mean_degree, param, q_ran, q_int])
     return _render(config, ["model", "mean_degree", "param", "qc_random", "qc_intentional"], rows)
 
 
@@ -221,9 +224,9 @@ def cmd_m1(config: ExperimentConfig) -> str:
                 if q * det.p_d <= pf:
                     continue
                 m1 = expected_reports_random(q, det, risk)
-                rows.append(["random", "", "", _fmt(q), _fmt(det.p_d), _fmt(pf), "", _fmt(m1)])
+                rows.append(["random", "", "", q, det.p_d, pf, "", m1])
             m1 = expected_reports_intentional(det, risk)
-            rows.append(["intentional", "", "", "", _fmt(det.p_d), _fmt(pf), "", _fmt(m1)])
+            rows.append(["intentional", "", "", "", det.p_d, pf, "", m1])
     # report-count surfaces over (network parameter, pd) at the critical q
     surface_grids = (
         ("er", config.khat_grid),
@@ -238,7 +241,7 @@ def cmd_m1(config: ExperimentConfig) -> str:
                 continue
             for det in _detectors(pd_grid, config.pf):
                 m1 = expected_reports_random(qc, det, risk)
-                rows.append(["surface", kind, _fmt(param), _fmt(qc), _fmt(det.p_d), _fmt(config.pf), _fmt(qc), _fmt(m1)])
+                rows.append(["surface", kind, param, qc, det.p_d, config.pf, qc, m1])
     return _render(config, columns, rows)
 
 
@@ -254,11 +257,7 @@ def cmd_worst_case(config: ExperimentConfig) -> str:
     for qc in parse_grid(config.qc_grid):
         m_c = ceil_count(config.n * qc)
         b = worst_case_bounds(qc, det, risk, m_c)
-        rows.append([
-            _fmt(qc), str(m_c), _fmt(b.accept_lower_bound), _fmt(b.reject_lower_bound),
-            _fmt(b.delta_at_mc), _fmt(b.theta_at_mc),
-            _fmt(b.y1), _fmt(b.y2), _fmt(b.y3), _fmt(b.y4), _fmt(b.y5), _fmt(b.y6),
-        ])
+        rows.append([qc, *(getattr(b, column) for column in columns[1:])])  # the other columns are fields of b
     return _render(config, columns, rows)
 
 
@@ -280,10 +279,7 @@ def cmd_empirical(config: ExperimentConfig) -> str:
             for det in _detectors(parse_grid(config.pd_grid), pf):
                 m1_ran = expected_reports_random(q_ran, det, risk)
                 m1_int = expected_reports_intentional(det, risk)
-                rows.append([
-                    name, kind, _fmt(param), str(n_nodes), _fmt(q_ran), str(mc_ran),
-                    _fmt(q_int), str(mc_int), _fmt(det.p_d), _fmt(pf), _fmt(m1_ran), _fmt(m1_int),
-                ])
+                rows.append([name, kind, param, n_nodes, q_ran, mc_ran, q_int, mc_int, det.p_d, pf, m1_ran, m1_int])
     return _render(config, columns, rows)
 
 
@@ -308,9 +304,7 @@ def cmd_powergrid(config: ExperimentConfig) -> str:
     for scheme, curve in curves.items():
         for i in range(len(curve)):
             rows.append([
-                "curve", scheme, _fmt(float(curve.removed_fraction[i])),
-                _fmt(float(curve.lcc_fraction[i])), _fmt(float(curve.remaining_tau[i])),
-                "", "", "", "",
+                "curve", scheme, curve.removed_fraction[i], curve.lcc_fraction[i], curve.remaining_tau[i], "", "", "", "",
             ])
     # detection markers: reports needed for a targeted attack, and the
     # surviving largest component when exactly that many top-degree nodes
@@ -319,10 +313,7 @@ def cmd_powergrid(config: ExperimentConfig) -> str:
     for det in _detectors(parse_grid(config.pd_grid), config.pf):
         m1 = expected_reports_intentional(det, risk)
         boundary = min(graph.n, ceil_count(m1))
-        rows.append([
-            "m1", "degree", "", "", "", _fmt(det.p_d), _fmt(m1),
-            _fmt(m1 / graph.n), _fmt(float(curves["degree"].lcc_by_removed[boundary])),
-        ])
+        rows.append(["m1", "degree", "", "", "", det.p_d, m1, m1 / graph.n, curves["degree"].lcc_by_removed[boundary]])
     return _render(config, columns, rows)
 
 
@@ -338,10 +329,10 @@ def cmd_operation_curves(config: ExperimentConfig) -> str:
             try:
                 point = min_detection(pf, risk, m_c)
             except InfeasibleError:
-                rows.append([str(m_c), _fmt(pf), "0", ""])
+                rows.append([m_c, pf, 0, ""])
             else:
                 feasible_points += 1
-                rows.append([str(m_c), _fmt(pf), "1", _fmt(point.p_d_min)])
+                rows.append([m_c, pf, 1, point.p_d_min])
     if not feasible_points:
         raise InfeasibleError("no feasible operation point on the requested grids")
     return _render(config, columns, rows)
@@ -379,23 +370,16 @@ def _read_config_file(path: str) -> dict[str, str]:
     return {key: parser[section][key] for key, section in where.items()}
 
 
-def _coerce(key: str, raw: str):
-    try:
-        return _KEY_TYPES[key](raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-
-def build_config(command: str, file_options: dict[str, str], flag_options: dict) -> ExperimentConfig:
-    """Defaults, then config-file keys, then command-line flags."""
+def build_config(command: str, file_options: dict[str, str], flag_options: dict[str, str]) -> ExperimentConfig:
+    """Defaults, then config-file keys, then command-line flags; each value is coerced by its key's type."""
     config = ExperimentConfig(command=command)
-    for key, raw in file_options.items():
+    for key, raw in [*file_options.items(), *flag_options.items()]:
         if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(config, key, _coerce(key, raw))
-    for key, value in flag_options.items():
-        if value is not None:
-            setattr(config, key, value)
+        try:
+            setattr(config, key, _KEY_TYPES[key](raw))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return config
 
 
@@ -403,16 +387,16 @@ def _build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a prefix such as --alpha must not resolve to --alpha_grid
     parser = argparse.ArgumentParser(prog="seqdef", description=__doc__.split("\n\n")[0], allow_abbrev=False)
     parser.add_argument("command", choices=list(_COMMANDS))
-    parser.add_argument("--config", type=str, default=None)
-    for key, kind in _KEY_TYPES.items():
-        parser.add_argument(f"--{key}", type=kind, default=None)
+    parser.add_argument("--config", default=None)
+    for key in _KEY_TYPES:
+        parser.add_argument(f"--{key}", default=None)  # text, coerced by build_config as a config-file key is
     return parser
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    flag_options = {key: getattr(args, key) for key in _KEY_TYPES}
+    flag_options = {key: value for key, value in vars(args).items() if key in _KEY_TYPES and value is not None}
     try:
         file_options = _read_config_file(args.config) if args.config else {}
         config = build_config(args.command, file_options, flag_options)

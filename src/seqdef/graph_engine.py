@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rand import rng_stream
+from ._rand import _seed, rng_stream
 from ._solve import _count, _whole
 from .degree_models import ER, DegreeModel, sample_degree_sequence
 from .errors import ConfigError
@@ -53,7 +53,7 @@ class NetworkGraph:
     duplicates dropped and counted. Duplicates are found by sorting the
     pair codes a*n + b and keeping each code that differs from the one
     before it. `n` and the endpoints must be whole numbers, `edges` must
-    be (u, v) rows, and `labels`, when given, holds one id per node.
+    be (u, v) rows, and `labels`, when given, holds a distinct id per node.
     Instances are treated as immutable once built.
     """
 
@@ -74,8 +74,12 @@ class NetworkGraph:
         self.edges = np.column_stack((codes // self.n, codes % self.n))
         self.stubs_dropped = int(stubs_dropped)
         self.labels = None if labels is None else np.asarray(labels)
-        if self.labels is not None and self.labels.shape != (self.n,):
-            raise ConfigError(f"labels must hold one id per node ({self.n}), got shape {self.labels.shape}")
+        if self.labels is not None:
+            if self.labels.shape != (self.n,):
+                raise ConfigError(f"labels must hold one id per node ({self.n}), got shape {self.labels.shape}")
+            ids = np.sort(self.labels)  # not np.unique, whose first call raises peak RSS by about 1.5 MB
+            if np.any(ids[1:] == ids[:-1]):  # edge_text would write one id for several nodes
+                raise ConfigError("labels must be distinct")
 
     @property
     def edge_count(self) -> int:
@@ -509,6 +513,7 @@ def removal_order(graph: NetworkGraph, scheme: str, seed: int) -> np.ndarray:
     whatever order their float sums ran in.
     """
     scheme = _attack_scheme(scheme)
+    _seed(seed)
     if scheme == RANDOM:
         return _random_order(graph, seed, 0)
     if scheme == INTENTIONAL:
@@ -607,6 +612,7 @@ def average_random_attack(graph: NetworkGraph, q: float, step_count: int, trials
 
 def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
     """Response curve from 0 to q, averaged over the `trials` orders of `_order`."""
+    _seed(seed)
     step_count = _count(step_count, "step_count", 2)
     trials = _count(trials, "trials")
     fractions = np.linspace(0.0, _attacked_fraction(q), step_count)
@@ -645,6 +651,7 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     """
     trials = _count(trials, "trials")
     scheme = _attack_scheme(scheme)
+    _seed(seed)
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)
     constants = _tau_constants(graph)

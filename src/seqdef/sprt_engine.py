@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from ._rand import rng_stream
+from ._rand import _seed, rng_stream
 from ._solve import _count, ceil_count, clamp01
 from .errors import ConfigError, NumericalError
 
@@ -132,8 +132,8 @@ class AttackPlan:
 
     @property
     def m(self) -> int:
-        """Number of attacked nodes, ceil(n*q) with a float-noise guard."""
-        return ceil_count(self.n * self.q)
+        """Number of attacked nodes, ceil(n*q) with a float-noise guard; at least 1, as q > 0."""
+        return max(1, ceil_count(self.n * self.q))
 
 
 @dataclass
@@ -486,6 +486,7 @@ def simulate_detection(
     """
     trials = _count(trials, "trials")
     m_c = _count(m_c, "report budget m_c")
+    _seed(seed)
     if truth not in (H0, H1):
         raise ConfigError("truth must be 'h0' or 'h1'")
     _, stop, p1, z1, z0 = report_segments(plan, detector)[0]

@@ -7,6 +7,8 @@ import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqdef import DegreeModel, DetectorProfile, RiskBudget, expected_reports_intentional, generate
 import seqdef.experiments_cli as cli
@@ -264,6 +266,36 @@ class TestConfigHandling:
         assert "# meandeg_grid = 4" in out
         assert "er,4,4,0.75," in out
 
+    @pytest.mark.parametrize("key, raw", [("n", "x"), ("pd", "abc")])
+    def test_bad_flag_value_is_the_config_file_error(self, key, raw, tmp_path, capsys):
+        # argparse rejected the flag itself, with its usage text and SystemExit(2), not the key's message
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        assert run(["m1", "--config", str(cfg)]) == 2
+        from_file = capsys.readouterr().err
+        assert run(["m1", f"--{key}", raw]) == 2
+        assert capsys.readouterr().err == from_file == f"seqdef: config error: bad value for {key}: {raw!r}\n"
+
+
+class TestHeader:
+    @pytest.mark.parametrize(
+        "flag, raw, echo",
+        [("pd", "0.9", "0.9"), ("pd", "0.90000000000001", "0.90000000000001"), ("q", "1.0", "1"), ("n", "600", "600")],
+    )
+    def test_echo(self, flag, raw, echo, capsys):
+        # 0.90000000000001 was echoed as 0.9, above a different table than 0.9's
+        assert run(["worst-case", f"--{flag}", raw]) == 0
+        assert f"\n# {flag} = {echo}\n" in capsys.readouterr().out
+
+    @settings(deadline=None)
+    @given(values=st.fixed_dictionaries({key: st.floats() for key in ("pd", "pf", "delta", "theta", "q")}))
+    @example(values={"pd": 0.90000000000001, "pf": 1e-3, "delta": 0.1 + 0.2, "theta": math.nan, "q": -math.inf})
+    def test_header_floats_read_back_exactly(self, values):
+        text = cli._render(ExperimentConfig(command="worst-case", **values), ["x"], [])
+        header = dict(line[2:].split(" = ", 1) for line in text.splitlines() if line.startswith("# "))
+        back = build_config("worst-case", {key: header[key] for key in values}, {})
+        assert {key: repr(getattr(back, key)) for key in values} == {key: repr(v) for key, v in values.items()}
+
 
 class TestConfigTable:
     def test_every_setting_is_read(self):
@@ -283,12 +315,15 @@ class TestConfigTable:
 
     @pytest.mark.parametrize("setting", SETTINGS, ids=lambda f: f.name)
     def test_flag_and_file_key_agree(self, setting, tmp_path):
+        # the parser passes the flag's text through, and build_config coerces it as it does the key's
         kind = str if setting.default is None else type(setting.default)
         raw = {int: "7", float: "0.25", str: "1,2"}[kind]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{setting.name} = {raw}\n")
         from_file = getattr(build_config("m1", _read_config_file(str(cfg)), {}), setting.name)
-        from_flag = getattr(_build_parser().parse_args(["m1", f"--{setting.name}", raw]), setting.name)
+        flag = getattr(_build_parser().parse_args(["m1", f"--{setting.name}", raw]), setting.name)
+        assert flag == raw
+        from_flag = getattr(build_config("m1", {}, {setting.name: flag}), setting.name)
         assert from_file == from_flag == kind(raw)
         assert type(from_file) is type(from_flag) is kind
 

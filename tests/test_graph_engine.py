@@ -84,6 +84,7 @@ class TestNetworkGraph:
             (3, [0, 1, 2], None),
             (3, [(0, 1)], [5]),  # edge_text() then raised IndexError
             (3, [(0, 1)], [[1, 2, 3]]),
+            (3, [(0, 1)], [5, 5, 5]),  # edge_text() wrote the self-loop "5 5", a different graph
         ],
     )
     def test_bad_inputs_rejected(self, n, edges, labels):

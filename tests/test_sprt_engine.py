@@ -100,6 +100,12 @@ class TestTypes:
         assert AttackPlan("intentional", 0.21, 10).m == 3
         assert AttackPlan("intentional", 1.0, 7).m == 7
 
+    def test_tiny_targeted_fraction_attacks_one_node(self):
+        # the float-noise guard rounded n*q = 1e-9 down to 0 nodes, and every run was truncated to null
+        plan = AttackPlan("degree", 1e-12, 1000)
+        assert plan.m == 1
+        assert simulate_detection(plan, DetectorProfile(0.9, 0.001), RISK, 1000, 100, 0).threshold_attack > 0
+
 
 class TestPerReportLLR:
     def test_random_success_value(self):
