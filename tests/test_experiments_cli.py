@@ -37,6 +37,20 @@ def parse_csv(text):
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+# sha256 of each analytic command's stdout at defaults and at one config that takes other branches
+ANALYTIC_PINS = {
+    "qc-sweep": "2d27872c96803921c06cca78bd52bd87f4d2614f2d301cc8a574897d092b3e78",
+    "qc-sweep --kmin 2 --kmax 500 --meandeg_grid 2.5:9:7": "ad58968fd6531edc8b23f72ad7a0039d6a030a54148b0bfc80ef5ba665eeb7b2",
+    "m1": "d383cb2a9aca93bdfb5442b82b8556d08616b2cf49601ea81731acfdb0bc1fbd",
+    "m1 --delta 0.05 --theta 0.01 --pf 0.01": "7401f9355b18fb6192b7508cabab509511bf9cd0104305de9ca2fbadcec3fb1d",
+    "worst-case": "03a58d59318d66e2919d39b1256c61feee97698acf7ee563a4194369e6c1c20c",
+    "worst-case --pd 0.7 --pf 0.01 --n 5000": "9d907e53a983f8c149d37bb4562b45a6aa2520d463c3d5da0ad96961c4db0e5a",
+    "empirical": "eca942aca104aa293be0db3353617591cfbe1350fe84e6bed05a0dcc2bbcfdb4",
+    "empirical --pd_grid 0.3,0.6 --pf_list 0.01": "9c637ed8cc4b6a6f84ae7512f518623f96ac2376b80d8f9572b1eea2dd6d7f59",
+    "operation-curves": "2d4d1f736803723fe30152585d897c0c9bf3e1dd03ac9c35c91939ad18218349",
+    "operation-curves --mc_list 3,20 --pf_grid 1e-3:0.2:7:log": "99a2e5041f0ce505f3cf0ee17ac417e8cf1922f1d0dd8632f42628d9e7b584c0",
+}
+
 @pytest.fixture()
 def toy_graph_path(tmp_path):
     g = generate(DegreeModel.power_law(2.5, k_max=50, n=400), 400, seed=9)
@@ -455,3 +469,9 @@ class TestDeterminism:
         assert hashlib.sha256(body.encode()).hexdigest() == (
             "58929481db222638097ee788df169b090e5e3063f7df515ccc68098ab2346226"
         )
+
+    @pytest.mark.parametrize("line", list(ANALYTIC_PINS))
+    def test_analytic_csvs_pinned(self, line, capsys):
+        # sha256 of the whole stdout, header included: a speedup that moves any byte fails here
+        assert run(line.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ANALYTIC_PINS[line]
