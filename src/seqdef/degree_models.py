@@ -147,6 +147,12 @@ def _power_integral(a: float, b: float, p: float) -> float:
     return expm1_over(s, math.log(b / a), a**s)
 
 
+def _power_law_moments(alpha: float, a: float, b: float) -> tuple[float, float]:
+    """(E[K], E[K^2]) of the continuous density ~ k^-alpha on [a, b]; no model is built."""
+    c1 = 1.0 / _power_integral(a, b, -alpha)
+    return c1 * _power_integral(a, b, 1.0 - alpha), c1 * _power_integral(a, b, 2.0 - alpha)
+
+
 def moments(model: DegreeModel) -> MomentSummary:
     """First two moments of the degree distribution.
 
@@ -158,10 +164,7 @@ def moments(model: DegreeModel) -> MomentSummary:
         m1 = model.k_hat
         m2 = model.k_hat**2 + model.k_hat
     elif model.kind == POWER_LAW:
-        a, b, alpha = float(model.k_min), float(model.k_max), model.alpha
-        c1 = 1.0 / _power_integral(a, b, -alpha)
-        m1 = c1 * _power_integral(a, b, 1.0 - alpha)
-        m2 = c1 * _power_integral(a, b, 2.0 - alpha)
+        m1, m2 = _power_law_moments(model.alpha, float(model.k_min), float(model.k_max))
     elif model.kind == EXPONENTIAL:
         kn, beta = float(model.k_min), model.beta
         m1 = kn + beta

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
 
-from .degree_models import DegreeModel, moments
+from .degree_models import DegreeModel, _power_law_moments
 from .errors import ConfigError, InfeasibleError, NumericalError, SubcriticalError
 from .percolation_analytic import qc_intentional, qc_random
 from .robust_design import min_detection
@@ -152,8 +153,11 @@ def _render(config: ExperimentConfig, columns: list[str], rows: list[list]) -> s
             text = repr(value)  # .12g dropped digits (repr keeps NaN's text)
         lines.append(f"# {f.name} = {text}")
     lines.append(",".join(columns))
-    # the class test skips the call for label cells, which are most of m1's cells
-    lines.extend(",".join([c if c.__class__ is str else _fmt(c) for c in row]) for row in rows)
+    # class tests skip the `_fmt` call for label and float cells (most of m1's cells); each writes as `_fmt` does
+    lines.extend(
+        ",".join([c if c.__class__ is str else format(c, ".12g") if c.__class__ is float else _fmt(c) for c in row])
+        for row in rows
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -175,9 +179,14 @@ def _model_for_mean_degree(kind: str, mean_degree: float, config: ExperimentConf
             raise ConfigError(f"exponential model needs mean degree > k_min, got {mean_degree}")
         param = mean_degree - config.kmin
     else:
+        _family_model(kind, 2.0, config)  # checks k_min, k_max and n once, not at every bisection step
+        a, b = float(config.kmin), float(config.kmax)
+        top = (b - a) / math.log(b / a)  # the mean as alpha -> 1; it falls to k_min as alpha grows
+        if not a < mean_degree < top:
+            raise ConfigError(f"power-law model needs mean degree in ({config.kmin}, {top:.6g}), got {mean_degree}")
 
         def gap(alpha: float) -> float:
-            return moments(_family_model(kind, alpha, config)).mean_degree - mean_degree
+            return _power_law_moments(alpha, a, b)[0] - mean_degree
 
         param = bisect_root(gap, 1.0 + 1e-9, 60.0, what="power-law skewness for mean degree")
     return _family_model(kind, param, config)
@@ -383,6 +392,7 @@ def build_config(command: str, file_options: dict[str, str], flag_options: dict[
     return config
 
 
+@functools.cache  # one parser per process; parse_args does not change it
 def _build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a prefix such as --alpha must not resolve to --alpha_grid
     parser = argparse.ArgumentParser(prog="seqdef", description=__doc__.split("\n\n")[0], allow_abbrev=False)

@@ -85,15 +85,16 @@ class RiskBudget:
         if self.delta + self.theta >= 1.0:
             raise ConfigError("delta + theta must be < 1")
 
-    @property
+    # computed once per instance; not fields, so repr, eq and hash are unchanged
+    @functools.cached_property
     def log_a(self) -> float:
         return math.log((1.0 - self.theta) / self.delta)
 
-    @property
+    @functools.cached_property
     def log_b(self) -> float:
         return math.log(self.theta / (1.0 - self.delta))
 
-    @property
+    @functools.cached_property
     def decision_effort(self) -> float:
         """theta*log B + (1-theta)*log A: expected LLR at the decision under H1."""
         return self.theta * self.log_b + (1.0 - self.theta) * self.log_a

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqdef import DegreeModel, DetectorProfile, RiskBudget, expected_reports_intentional, generate
+from seqdef import ConfigError, DegreeModel, DetectorProfile, RiskBudget, expected_reports_intentional, generate
 import seqdef.experiments_cli as cli
 from seqdef.experiments_cli import (
     ExperimentConfig,
@@ -423,6 +423,38 @@ class TestExitCodes:
         assert run([command, f"--{flag}={value}"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, bounds",
+        [
+            (["--meandeg_grid", "1.0"], "(1, 144.62)"),  # k_min itself: was exit 3, "no sign change on [1, 60]"
+            (["--meandeg_grid", "144.7"], "(1, 144.62)"),  # just above (k_max - k_min)/ln(k_max/k_min)
+            (["--meandeg_grid", "600"], "(1, 144.62)"),
+            (["--kmin", "2", "--kmax", "500", "--meandeg_grid", "2"], "(2, 90.1935)"),
+            (["--kmin", "2", "--kmax", "500", "--meandeg_grid", "90.2"], "(2, 90.1935)"),
+        ],
+    )
+    def test_power_law_mean_out_of_reach_is_config_error(self, flags, bounds, capsys):
+        assert run(["qc-sweep", *flags]) == 2
+        assert f"power-law model needs mean degree in {bounds}, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kmin", "5", "--kmax", "3"], "k_max must be a whole number >= 5, got 3"),
+            (["--kmax", "1"], "degenerate support (k_min == k_max) for parametric model"),
+            (["--kmin", "0"], "k_min must be a whole number >= 1, got 0"),
+            (["--n", "1"], "network size n must be a whole number >= 2, got 1"),
+        ],
+    )
+    def test_bad_support_checked_before_the_skewness_solve(self, flags, message, capsys):
+        assert run(["qc-sweep", *flags]) == 2
+        assert capsys.readouterr().err == f"seqdef: config error: {message}\n"
+        # the power-law branch checks the support itself, not only through the ER model built before it
+        config = build_config("qc-sweep", {}, {flag[2:]: value for flag, value in zip(flags[::2], flags[1::2])})
+        with pytest.raises(ConfigError) as exc:
+            cli._model_for_mean_degree("power_law", 2.0, config)
+        assert str(exc.value) == message
+
     def test_numerical_exit_code_through_cli(self, tmp_path):
         cfg = tmp_path / "oc.cfg"
         cfg.write_text("mc_list = 1\npf_grid = 0.2,0.3\n")
@@ -469,6 +501,14 @@ class TestDeterminism:
         assert hashlib.sha256(body.encode()).hexdigest() == (
             "58929481db222638097ee788df169b090e5e3063f7df515ccc68098ab2346226"
         )
+
+    def test_one_parser_serves_every_run(self, capsys):
+        # a flag of one call must not leak into the next, now that the parser is built once
+        assert _build_parser() is _build_parser()
+        lines = list(ANALYTIC_PINS)
+        for line in [lines[1], lines[0], lines[3], lines[2]]:
+            assert run(line.split()) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ANALYTIC_PINS[line]
 
     @pytest.mark.parametrize("line", list(ANALYTIC_PINS))
     def test_analytic_csvs_pinned(self, line, capsys):

@@ -1,5 +1,6 @@
 """Critical-fraction formulas and root solutions for both attack schemes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from seqdef import (
     qc_random,
     thin,
 )
+from seqdef.percolation_analytic import _poisson_tails
 
 GOLDEN_CUTOFF = (3 + math.sqrt(5)) ** 2 / 4  # root of the alpha=2.5 quadratic
 
@@ -95,17 +97,28 @@ class TestCutoffDegree:
         model = DegreeModel.power_law(2.5, k_min=3, n=100)
         assert cutoff_degree(model, 0.999999) == 3.0
 
-    def test_er_discrete_tail_brackets_target(self):
-        model = DegreeModel.er(4, n=10**6)
+    @pytest.mark.parametrize("k_hat", [4.0, 900.0])  # exp(-900) is 0: 900 raised NoRootError
+    def test_er_discrete_tail_brackets_target(self, k_hat):
+        model = DegreeModel.er(k_hat, n=10**6)
         q = 0.3
         cut = cutoff_degree(model, q)
         lo, hi = math.floor(cut), math.ceil(cut)
         sf = scipy.stats.poisson.sf  # independent Poisson tail oracle
-        assert sf(lo - 1, 4) - 1e-6 >= q >= sf(hi - 1, 4) - 1e-6
+        assert sf(lo - 1, k_hat) - 1e-6 >= q >= sf(hi - 1, k_hat) - 1e-6
 
     def test_q_outside_open_interval_rejected(self):
         with pytest.raises(ConfigError):
             cutoff_degree(DegreeModel.er(4), 0.0)
+
+
+class TestPoissonTails:
+    @pytest.mark.parametrize("k_hat", [4.0, 50.0, 700.0, 740.0, 744.0, 800.0, 1000.0])
+    def test_tails_match_scipy(self, k_hat):
+        # the recurrence starts where the mass is a normal float; exp(-k_hat) underflows above 708
+        limit = int(k_hat + 20.0 * math.sqrt(k_hat) + 200)
+        tails = list(itertools.islice(_poisson_tails(k_hat), limit + 1))
+        expected = scipy.stats.poisson.sf(np.arange(limit + 1) - 1, k_hat)
+        assert np.max(np.abs(np.array(tails) - expected)) <= 1e-12
 
 
 class TestIntentionalAttack:
@@ -137,10 +150,12 @@ class TestIntentionalAttack:
         residual = (1 - math.log(u)) * u + m.mean_degree / (m.second_moment - m.mean_degree) - 1
         assert abs(residual) < 1e-10
 
-    def test_er_tail_interpolation_against_scipy(self):
-        model = DegreeModel.er(4)
+    # exp(-k_hat) is subnormal at 744 (qc was 4.3e-6 off) and 0 at 900 (NoRootError)
+    @pytest.mark.parametrize("k_hat", [4.0, 744.0, 900.0])
+    def test_er_tail_interpolation_against_scipy(self, k_hat):
+        model = DegreeModel.er(k_hat)
         rep = qc_intentional(model)
-        k_hat, n = 4.0, model.n
+        n = model.n
         sf = scipy.stats.poisson.sf
         target = 1 - 1 / k_hat
         j = math.floor(rep.cutoff_degree)
@@ -152,6 +167,18 @@ class TestIntentionalAttack:
         q_hi = sf(j, k_hat) - 1 / n
         assert rep.qc == pytest.approx((1 - t) * q_lo + t * q_hi, abs=1e-9)
         assert rep.link_deletion_prob == pytest.approx(target, abs=1e-12)
+
+    def test_power_law_cutoff_omits_the_1_over_n_term(self):
+        # only the power-law solve leaves 1/n out of qc, so only there does cutoff_degree(model, qc)
+        # differ from the report's cutoff; a rule that unifies the two must move these pins on purpose
+        model = DegreeModel.power_law(2.5, n=10**4)
+        rep = qc_intentional(model)
+        assert rep.cutoff_degree == pytest.approx(6.854102, abs=1e-6)
+        assert cutoff_degree(model, rep.qc) == pytest.approx(6.845915, abs=1e-6)
+        for model, cutoff in ((DegreeModel.er(3), 3.598929), (DegreeModel.exponential(1.63), 3.144712)):
+            rep = qc_intentional(model)
+            assert rep.cutoff_degree == pytest.approx(cutoff, abs=1e-6)
+            assert cutoff_degree(model, rep.qc) == rep.cutoff_degree
 
     def test_intentional_below_random_at_equal_mean_degree(self):
         mean = moments(DegreeModel.power_law(2.5)).mean_degree

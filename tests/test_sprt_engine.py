@@ -55,6 +55,14 @@ class TestTypes:
         assert swapped.log_a == -RISK.log_b
         assert swapped.log_b == -RISK.log_a
 
+    def test_risk_thresholds_cached_outside_the_fields(self):
+        # the thresholds are computed once per instance, and the value semantics ignore the cache
+        risk, fresh = RiskBudget(0.01, 0.001), RiskBudget(0.01, 0.001)
+        effort = risk.decision_effort
+        assert {"log_a", "log_b", "decision_effort"} <= vars(risk).keys()
+        assert effort == 0.001 * math.log(0.001 / 0.99) + 0.999 * math.log(0.999 / 0.01)
+        assert (risk, hash(risk), repr(risk)) == (fresh, hash(fresh), "RiskBudget(delta=0.01, theta=0.001)")
+
     @pytest.mark.parametrize(
         "build",
         [
