@@ -199,23 +199,12 @@ def thin(model: DegreeModel, q: float) -> MomentSummary:
 
 
 def discrete_pmf(model: DegreeModel) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized probability masses on the integer support [k_min, k_max]."""
+    """An empirical model's normalized probability masses on the integer support [k_min, k_max]."""
     import numpy as np
     ks = np.arange(model.k_min, model.k_max + 1, dtype=np.int64)
-    if model.kind == ER:
-        # Poisson masses from their logarithms (lgamma), so k! at k_max = 1000 does not overflow
-        logp = ks * math.log(model.k_hat) - model.k_hat - np.array(
-            [math.lgamma(k + 1.0) for k in ks]
-        )
-        w = np.exp(logp)
-    elif model.kind == POWER_LAW:
-        w = ks.astype(float) ** (-model.alpha)
-    elif model.kind == EXPONENTIAL:
-        w = np.exp(-ks / model.beta)
-    else:
-        w = np.zeros(ks.shape)
-        for k, p in model.histogram.items():
-            w[int(k) - model.k_min] += p
+    w = np.zeros(ks.shape)
+    for k, p in model.histogram.items():
+        w[int(k) - model.k_min] += p
     return ks, w / w.sum()
 
 

@@ -162,12 +162,8 @@ def _render(config: ExperimentConfig, columns: list[str], rows: list[list]) -> s
 
 
 def _family_model(kind: str, param: float, config: ExperimentConfig, n: int | None = None) -> DegreeModel:
-    size = config.n if n is None else n
-    if kind == "er":
-        return DegreeModel.er(param, k_min=config.kmin, k_max=config.kmax, n=size)
-    if kind == "power_law":
-        return DegreeModel.power_law(param, k_min=config.kmin, k_max=config.kmax, n=size)
-    return DegreeModel.exponential(param, k_min=config.kmin, k_max=config.kmax, n=size)
+    # each kind names its DegreeModel constructor
+    return getattr(DegreeModel, kind)(param, k_min=config.kmin, k_max=config.kmax, n=config.n if n is None else n)
 
 
 def _model_for_mean_degree(kind: str, mean_degree: float, config: ExperimentConfig) -> DegreeModel:
@@ -181,13 +177,14 @@ def _model_for_mean_degree(kind: str, mean_degree: float, config: ExperimentConf
     else:
         _family_model(kind, 2.0, config)  # checks k_min, k_max and n once, not at every bisection step
         a, b = float(config.kmin), float(config.kmax)
-        top = (b - a) / math.log(b / a)  # the mean as alpha -> 1; it falls to k_min as alpha grows
-        if not a < mean_degree < top:
-            raise ConfigError(f"power-law model needs mean degree in ({config.kmin}, {top:.6g}), got {mean_degree}")
 
         def gap(alpha: float) -> float:
             return _power_law_moments(alpha, a, b)[0] - mean_degree
 
+        # the mean falls as alpha grows, so only a mean between its values at the bracket's ends has a root
+        low, top = (_power_law_moments(alpha, a, b)[0] for alpha in (60.0, 1.0 + 1e-9))
+        if not low < mean_degree < top:
+            raise ConfigError(f"power-law model needs mean degree in ({low:.6g}, {top:.6g}), got {mean_degree}")
         param = bisect_root(gap, 1.0 + 1e-9, 60.0, what="power-law skewness for mean degree")
     return _family_model(kind, param, config)
 

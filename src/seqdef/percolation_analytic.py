@@ -10,10 +10,12 @@ exponential networks.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ._solve import bisect_root, clamp01
 from .degree_models import (
@@ -27,10 +29,6 @@ from .degree_models import (
     moments,
 )
 from .errors import ConfigError, NoRootError, SubcriticalError
-from .sprt_engine import INTENTIONAL, RANDOM
-
-CLOSED_FORM = "closed_form"
-ROOT_SOLVE = "root_solve"
 
 SUBCRITICAL_MSG = "network already disconnected in percolation sense"
 
@@ -40,8 +38,6 @@ class CriticalValueReport:
     """Critical removed fraction q_c plus the intentional-attack extras."""
 
     qc: float
-    scheme: str
-    method: str
     cutoff_degree: float | None = None
     link_deletion_prob: float | None = None
 
@@ -51,23 +47,7 @@ def qc_random(model: DegreeModel) -> CriticalValueReport:
     tau0 = moments(model).tau
     if tau0 <= 2.0:
         raise SubcriticalError(SUBCRITICAL_MSG)
-    return CriticalValueReport(
-        qc=clamp01(1.0 - 1.0 / (tau0 - 1.0)),
-        scheme=RANDOM,
-        method=CLOSED_FORM,
-    )
-
-
-def _tail_cutoff_discrete(tails: list[tuple[int, float]], q: float) -> float:
-    """Interpolated cutoff j + t where the discrete tail minus 1/N crosses q.
-
-    `tails` holds (j, P(K >= j) - 1/N) pairs, decreasing in j.
-    """
-    for (j_lo, t_lo), (j_hi, t_hi) in zip(tails, tails[1:]):
-        if t_lo >= q > t_hi:
-            frac = (t_lo - q) / (t_lo - t_hi) if t_lo > t_hi else 0.0
-            return j_lo + frac * (j_hi - j_lo)
-    raise NoRootError("cutoff degree", tails[0][0], tails[-1][0], tails[0][1] - q, tails[-1][1] - q)
+    return CriticalValueReport(qc=clamp01(1.0 - 1.0 / (tau0 - 1.0)))
 
 
 def _poisson_tails(k_hat: float) -> Iterator[float]:
@@ -88,10 +68,31 @@ def _poisson_tails(k_hat: float) -> Iterator[float]:
         pmf *= k_hat / k
 
 
+def _poisson_limit(k_hat: float) -> int:
+    """Steps a Poisson tail scan may take: far past the mean, where every tail is 0."""
+    return int(k_hat + 20.0 * math.sqrt(k_hat) + 200)
+
+
+def _tail_crossing(tails: Iterable[float], target: float, limit: int, what: str) -> tuple[int, float, float, Iterator]:
+    """First step j < limit of a decreasing tail sequence with tails[j] >= target > tails[j + 1].
+
+    The tails are read only up to tails[j + 1]. Returns j, the fraction t = (lo - target) / (lo - hi)
+    of the step from lo = tails[j] to hi = tails[j + 1], hi, and the iterator at tails[j + 2].
+    """
+    rest = iter(tails)
+    first = lo = next(rest)
+    for j, hi in zip(range(limit), rest):
+        if lo >= target > hi:
+            return j, (lo - target) / (lo - hi), hi, rest
+        lo = hi
+    raise NoRootError(what, 0, limit, first - target, lo - target)
+
+
 def cutoff_degree(model: DegreeModel, q: float) -> float:
     """New maximum degree after removing the top q fraction of nodes.
 
     The tail is inverted at q + 1/n; `qc_intentional` says where its cutoff differs from this one.
+    ER and empirical tails interpolate the step of P(K >= k) - 1/n that crosses q, at every integer k.
     """
     if not 0.0 < q < 1.0:
         raise ConfigError("attacked fraction q must lie in (0, 1)")
@@ -102,48 +103,32 @@ def cutoff_degree(model: DegreeModel, q: float) -> float:
         return model.k_min * u ** (1.0 / (1.0 - model.alpha))
     if model.kind == EXPONENTIAL:
         return -model.beta * math.log(u) + model.k_min
-    # ER and empirical: discrete tail sums
     if model.kind == ER:
-        limit = int(model.k_hat + 20.0 * math.sqrt(model.k_hat) + 200)
-        tails = [(j, sf - 1.0 / model.n) for j, sf in zip(range(limit + 1), _poisson_tails(model.k_hat))]
-    else:
-        ks, ps = discrete_pmf(model)
-        running = 1.0
-        tails = []
-        for k, p in zip(ks, ps):
-            tails.append((int(k), running - 1.0 / model.n))
-            running -= p
-        tails.append((int(ks[-1]) + 1, running - 1.0 / model.n))
-    return _tail_cutoff_discrete(tails, q)
+        tails = (sf - 1.0 / model.n for sf in _poisson_tails(model.k_hat))
+        j, t, _, _ = _tail_crossing(tails, q, _poisson_limit(model.k_hat), "cutoff degree")
+        return j + t
+    _, ps = discrete_pmf(model)
+    tails = (sf - 1.0 / model.n for sf in itertools.accumulate(ps, operator.sub, initial=1.0))
+    j, t, _, _ = _tail_crossing(tails, q, len(ps), "cutoff degree")
+    return model.k_min + j + t
 
 
 def _qc_intentional_er(model: DegreeModel) -> CriticalValueReport:
     k_hat, n = model.k_hat, model.n
     target = 1.0 - 1.0 / k_hat  # critical link-deletion probability
-    limit = int(k_hat + 20.0 * math.sqrt(k_hat) + 200)
-    tails = _poisson_tails(k_hat)
-    sf_i, sf_next = next(tails), next(tails)  # P(K >= i), P(K >= i + 1)
-    # q_tilde(j) = P(K >= j - 1) decreases in j; bracket the target between
-    # adjacent integers and interpolate both the cutoff and q linearly.
-    for i in range(limit):
-        if sf_i >= target > sf_next:
-            t = (sf_i - target) / (sf_i - sf_next)
-            j_lo = i + 1
-            q_lo = sf_next - 1.0 / n
-            q_hi = next(tails) - 1.0 / n
-            return CriticalValueReport(
-                qc=clamp01((1.0 - t) * q_lo + t * q_hi),
-                scheme=INTENTIONAL,
-                method=ROOT_SOLVE,
-                cutoff_degree=j_lo + t,
-                link_deletion_prob=target,
-            )
-        sf_i, sf_next = sf_next, next(tails)
-    raise NoRootError("ER intentional cutoff", 1, limit, 1.0 - target, sf_i - target)
+    # q_tilde(j) = P(K >= j - 1) falls in j: bracket the target at j = i + 1, i + 2, interpolate cutoff and q
+    i, t, sf_next, rest = _tail_crossing(_poisson_tails(k_hat), target, _poisson_limit(k_hat), "ER intentional cutoff")
+    return CriticalValueReport(
+        qc=clamp01((1.0 - t) * (sf_next - 1.0 / n) + t * (next(rest) - 1.0 / n)),
+        cutoff_degree=i + 1 + t,
+        link_deletion_prob=target,
+    )
 
 
 def _qc_intentional_power_law(model: DegreeModel) -> CriticalValueReport:
     alpha, kn = model.alpha, float(model.k_min)
+    if alpha <= 2.0:  # the equation is -1 at x = 1 and does not increase, so it has no root
+        raise ConfigError(f"power-law intentional threshold needs alpha > 2, got {alpha}")
 
     def equation(x: float) -> float:
         # x = cutoff / k_min; stable through the alpha = 3 log branch
@@ -153,16 +138,13 @@ def _qc_intentional_power_law(model: DegreeModel) -> CriticalValueReport:
     x = bisect_root(equation, 1.0, 2.0, expand=True, what="power-law intentional cutoff")
     return CriticalValueReport(
         qc=clamp01(x ** (1.0 - alpha)),
-        scheme=INTENTIONAL,
-        method=ROOT_SOLVE,
         cutoff_degree=kn * x,
         link_deletion_prob=clamp01(x ** (2.0 - alpha)),
     )
 
 
 def _qc_intentional_exponential(model: DegreeModel) -> CriticalValueReport:
-    kn, beta, n = float(model.k_min), model.beta, model.n
-    m = moments(model)
+    n, m = model.n, moments(model)
     target = 1.0 - m.mean_degree / (m.second_moment - m.mean_degree)  # = 1 - 1/(tau0-1)
 
     def equation(q: float) -> float:
@@ -171,20 +153,20 @@ def _qc_intentional_exponential(model: DegreeModel) -> CriticalValueReport:
 
     qc = bisect_root(equation, 1e-12, 1.0 - 1.0 / n, what="exponential intentional critical value")
     return CriticalValueReport(
-        qc=clamp01(qc),
-        scheme=INTENTIONAL,
-        method=ROOT_SOLVE,
-        cutoff_degree=-beta * math.log(qc + 1.0 / n) + kn,
-        link_deletion_prob=clamp01(target),
+        qc=clamp01(qc), cutoff_degree=cutoff_degree(model, qc), link_deletion_prob=clamp01(target)
     )
 
 
 def qc_intentional(model: DegreeModel) -> CriticalValueReport:
     """Critical fraction when the highest-degree q fraction is removed.
 
-    ER and exponential solves add 1/n to q as `cutoff_degree` does, so `cutoff_degree(model, qc)` is
-    the report's cutoff. The power-law qc = x^(1-alpha) has no 1/n term, so there it reads lower by
-    O(1/n): 6.845915 against 6.854102 at alpha = 2.5, n = 1e4.
+    How the report's cutoff relates to `cutoff_degree(model, qc)`, which inverts the tail at qc + 1/n:
+    - exponential: it is that call, by construction;
+    - ER: they agree to rounding, as the call undoes the interpolation that gave qc; the last bit differs
+      at k_hat = 20, and 10 ulps (1.4e-15 relative) at k_hat = 930, n = 1e6;
+    - power law: it is the root x * k_min, which also gives link_deletion_prob = x^(2-alpha). By design
+      qc = x^(1-alpha) has no 1/n term, so the call reads lower by O(1/n): 6.845915 against 6.854102
+      at alpha = 2.5, n = 1e4.
     """
     if model.kind == EMPIRICAL:
         raise ConfigError("intentional-attack threshold needs a parametric model")

@@ -426,16 +426,24 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags, bounds",
         [
-            (["--meandeg_grid", "1.0"], "(1, 144.62)"),  # k_min itself: was exit 3, "no sign change on [1, 60]"
-            (["--meandeg_grid", "144.7"], "(1, 144.62)"),  # just above (k_max - k_min)/ln(k_max/k_min)
-            (["--meandeg_grid", "600"], "(1, 144.62)"),
-            (["--kmin", "2", "--kmax", "500", "--meandeg_grid", "2"], "(2, 90.1935)"),
-            (["--kmin", "2", "--kmax", "500", "--meandeg_grid", "90.2"], "(2, 90.1935)"),
+            (["--meandeg_grid", "1.0"], "(1.01724, 144.62)"),  # k_min itself: was exit 3, "no sign change on [1, 60]"
+            (["--meandeg_grid", "1.01"], "(1.01724, 144.62)"),  # below the mean at alpha = 60: was exit 3 too
+            (["--meandeg_grid", "144.7"], "(1.01724, 144.62)"),  # just above (k_max - k_min)/ln(k_max/k_min)
+            (["--meandeg_grid", "144.6200622"], "(1.01724, 144.62)"),  # above the mean at alpha = 1 + 1e-9: was exit 3
+            (["--meandeg_grid", "600"], "(1.01724, 144.62)"),
+            (["--kmin", "2", "--meandeg_grid", "2.001"], "(2.03448, 160.589)"),
+            (["--kmin", "2", "--kmax", "500", "--meandeg_grid", "2"], "(2.03448, 90.1935)"),
+            (["--kmin", "2", "--kmax", "500", "--meandeg_grid", "90.2"], "(2.03448, 90.1935)"),
         ],
     )
     def test_power_law_mean_out_of_reach_is_config_error(self, flags, bounds, capsys):
         assert run(["qc-sweep", *flags]) == 2
         assert f"power-law model needs mean degree in {bounds}, got" in capsys.readouterr().err
+
+    def test_power_law_alpha_at_most_2_is_config_error(self, capsys):
+        # a mean above ln(1000)/(1 - 1/1000) matches alpha <= 2, where the intentional cutoff has no root
+        assert run(["qc-sweep", "--meandeg_grid", "7"]) == 2  # was exit 3, after doubling the bracket 60 times
+        assert "power-law intentional threshold needs alpha > 2, got 1.99503" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, message",

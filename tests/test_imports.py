@@ -1,5 +1,6 @@
 """What importing the package loads: numpy stays out of the analytic path, and deferred names resolve."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +77,29 @@ def test_simulate_detection_loads_graph_engine():
     # perfbench's tracer looks up seqdef.graph_engine in sys.modules for every workload, the detection
     # workload too, which imports only simulate_detection; so binding it must load graph_engine
     _fresh("import sys\nfrom seqdef import simulate_detection\nassert 'seqdef.graph_engine' in sys.modules")
+
+
+
+def _package_imports(source):
+    """The package modules that `source` imports, at any depth: relative or through `seqdef`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "seqdef"):
+            base = (node.module or "").removeprefix("seqdef").lstrip(".")
+            found |= {base} if base else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("seqdef.") for alias in node.names if alias.name.startswith("seqdef.")}
+    return found
+
+
+def test_package_imports_reads_every_form():
+    source = "from . import a\nfrom .b import x\nimport seqdef.c\nfrom seqdef.d import y\n"
+    source += "def f():\n    from seqdef import e\n    import numpy\n    from math import log\n"
+    assert _package_imports(source) == set("abcde")
+
+
+@pytest.mark.parametrize("module", ["percolation_analytic", "degree_models"])
+def test_threshold_layer_imports_no_detection_or_graph_code(module):
+    # the threshold layer reads only the numeric helpers, the errors and the degree models
+    found = _package_imports((Path(seqdef.__file__).parent / f"{module}.py").read_text())
+    assert found <= {"_solve", "_rand", "errors", "degree_models"}, found

@@ -18,6 +18,7 @@ from seqdef import (
     qc_random,
     thin,
 )
+from seqdef._solve import bisect_root
 from seqdef.percolation_analytic import _poisson_tails
 
 GOLDEN_CUTOFF = (3 + math.sqrt(5)) ** 2 / 4  # root of the alpha=2.5 quadratic
@@ -37,9 +38,8 @@ class TestRandomAttack:
 
     def test_report_fields(self):
         rep = qc_random(DegreeModel.er(4))
-        assert rep.scheme == "random"
-        assert rep.method == "closed_form"
         assert rep.cutoff_degree is None
+        assert rep.link_deletion_prob is None
 
     def test_subcritical_rejected(self):
         with pytest.raises(SubcriticalError, match="disconnected in percolation sense"):
@@ -106,6 +106,13 @@ class TestCutoffDegree:
         sf = scipy.stats.poisson.sf  # independent Poisson tail oracle
         assert sf(lo - 1, k_hat) - 1e-6 >= q >= sf(hi - 1, k_hat) - 1e-6
 
+    def test_empirical_interpolates_across_support_gaps(self):
+        # P(K >= k) - 1/n is 0.499 at k = 4 and 0.249 at k = 5: the step that crosses 0.3 lies in the
+        # gap between the support points 4 and 7, which alone would interpolate to 4 + 0.796 * 3 = 6.388
+        model = DegreeModel.empirical({2: 0.5, 4: 0.25, 7: 0.25}, n=1000)
+        assert cutoff_degree(model, 0.3) == pytest.approx(4.796, abs=1e-12)
+        assert cutoff_degree(model, 0.999) == model.k_min  # q + 1/n reaches 1: every node is removed
+
     def test_q_outside_open_interval_rejected(self):
         with pytest.raises(ConfigError):
             cutoff_degree(DegreeModel.er(4), 0.0)
@@ -126,7 +133,6 @@ class TestIntentionalAttack:
         rep = qc_intentional(DegreeModel.power_law(2.5, n=10**9))
         assert rep.cutoff_degree == pytest.approx(GOLDEN_CUTOFF, abs=1e-6)
         assert rep.qc == pytest.approx(0.0557, abs=1e-3)
-        assert rep.method == "root_solve"
 
     def test_power_law_equation_residual_and_consistency(self):
         model = DegreeModel.power_law(2.5, n=10**9)
@@ -175,10 +181,15 @@ class TestIntentionalAttack:
         rep = qc_intentional(model)
         assert rep.cutoff_degree == pytest.approx(6.854102, abs=1e-6)
         assert cutoff_degree(model, rep.qc) == pytest.approx(6.845915, abs=1e-6)
-        for model, cutoff in ((DegreeModel.er(3), 3.598929), (DegreeModel.exponential(1.63), 3.144712)):
-            rep = qc_intentional(model)
+        model = DegreeModel.exponential(1.63)
+        rep = qc_intentional(model)
+        assert rep.cutoff_degree == pytest.approx(3.144712, abs=1e-6)
+        assert cutoff_degree(model, rep.qc) == rep.cutoff_degree  # the report's cutoff is this call
+        # ER interpolates one Poisson step from both ends, so the two agree to rounding only
+        for k_hat, cutoff, ulps in ((3.0, 3.598929, 0), (20.0, 14.405228, 1)):
+            rep = qc_intentional(DegreeModel.er(k_hat))
             assert rep.cutoff_degree == pytest.approx(cutoff, abs=1e-6)
-            assert cutoff_degree(model, rep.qc) == rep.cutoff_degree
+            assert abs(cutoff_degree(DegreeModel.er(k_hat), rep.qc) - rep.cutoff_degree) == ulps * math.ulp(cutoff)
 
     def test_intentional_below_random_at_equal_mean_degree(self):
         mean = moments(DegreeModel.power_law(2.5)).mean_degree
@@ -192,9 +203,12 @@ class TestIntentionalAttack:
             assert qc_intentional(model).qc < qc_random(model).qc
 
     def test_no_root_reports_bracket(self):
-        # alpha <= 2 leaves the power-law equation negative everywhere
-        with pytest.raises(NoRootError, match="no sign change"):
-            qc_intentional(DegreeModel.power_law(1.8, n=10**6))
+        with pytest.raises(NoRootError, match=r"no sign change on \[1.15292e\+18, 2.30584e\+18\]"):
+            bisect_root(lambda x: -1.0, 1.0, 2.0, expand=True, what="a function of one sign")
+        # alpha <= 2 leaves the power-law equation negative everywhere, so no cutoff exists
+        for alpha in (1.8, 2.0):
+            with pytest.raises(ConfigError, match=f"needs alpha > 2, got {alpha}"):
+                qc_intentional(DegreeModel.power_law(alpha, n=10**6))
 
     def test_empirical_rejected(self):
         with pytest.raises(ConfigError):
