@@ -182,7 +182,7 @@ def _model_for_mean_degree(kind: str, mean_degree: float, config: ExperimentConf
             return _power_law_moments(alpha, a, b)[0] - mean_degree
 
         # the mean falls as alpha grows, so only a mean between its values at the bracket's ends has a root
-        low, top = (_power_law_moments(alpha, a, b)[0] for alpha in (60.0, 1.0 + 1e-9))
+        low, top = _power_law_moments(60.0, a, b)[0], _power_law_moments(1.0 + 1e-9, a, b)[0]
         if not low < mean_degree < top:
             raise ConfigError(f"power-law model needs mean degree in ({low:.6g}, {top:.6g}), got {mean_degree}")
         param = bisect_root(gap, 1.0 + 1e-9, 60.0, what="power-law skewness for mean degree")

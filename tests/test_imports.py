@@ -79,7 +79,6 @@ def test_simulate_detection_loads_graph_engine():
     _fresh("import sys\nfrom seqdef import simulate_detection\nassert 'seqdef.graph_engine' in sys.modules")
 
 
-
 def _package_imports(source):
     """The package modules that `source` imports, at any depth: relative or through `seqdef`."""
     found = set()

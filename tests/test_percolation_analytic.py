@@ -185,7 +185,7 @@ class TestIntentionalAttack:
         rep = qc_intentional(model)
         assert rep.cutoff_degree == pytest.approx(3.144712, abs=1e-6)
         assert cutoff_degree(model, rep.qc) == rep.cutoff_degree  # the report's cutoff is this call
-        # ER interpolates one Poisson step from both ends, so the two agree to rounding only
+        # for ER, cutoff_degree undoes the interpolation that gave qc, so the two agree to rounding only
         for k_hat, cutoff, ulps in ((3.0, 3.598929, 0), (20.0, 14.405228, 1)):
             rep = qc_intentional(DegreeModel.er(k_hat))
             assert rep.cutoff_degree == pytest.approx(cutoff, abs=1e-6)
