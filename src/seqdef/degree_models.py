@@ -5,7 +5,7 @@ k_hat), power-law (skewness alpha), exponential (scale beta), and
 empirical histograms. Analytic moments use the continuous approximation
 on [k_min, k_max] (the exponential kind in its large-k_max limit), while
 sampling produces integer degree sequences suitable for configuration
-model generation.
+model generation. Only the samplers import numpy.
 """
 
 from __future__ import annotations
@@ -90,13 +90,9 @@ class DegreeModel:
         return cls(kind=EXPONENTIAL, beta=float(beta), k_min=k_min, k_max=k_max, n=n)
 
     @classmethod
-    def empirical(cls, histogram, n=DEFAULT_N, k_min=None, k_max=None):
+    def empirical(cls, histogram, n=DEFAULT_N):
         hist = {_count(k, "histogram degree"): float(p) for k, p in histogram.items()}
-        if not hist:
-            raise ConfigError("empirical model needs a non-empty histogram")
-        lo = min(hist) if k_min is None else k_min
-        hi = max(hist) if k_max is None else k_max
-        return cls(kind=EMPIRICAL, histogram=hist, k_min=lo, k_max=hi, n=n)
+        return cls(kind=EMPIRICAL, histogram=hist, k_min=min(hist, default=1), k_max=max(hist, default=1), n=n)
 
     @classmethod
     def empirical_from_file(cls, path, n=DEFAULT_N):
@@ -158,7 +154,8 @@ def moments(model: DegreeModel) -> MomentSummary:
 
     ER uses the Poisson identities, power-law the normalized continuous
     moment integrals (with logarithmic branches at alpha = 2 and 3),
-    and exponential the large-k_max limit closed forms.
+    exponential the large-k_max limit closed forms, and empirical the
+    sums over `discrete_pmf`.
     """
     if model.kind == ER:
         m1 = model.k_hat
@@ -170,9 +167,9 @@ def moments(model: DegreeModel) -> MomentSummary:
         m1 = kn + beta
         m2 = kn**2 + 2.0 * kn * beta + 2.0 * beta**2
     else:
-        items = sorted(model.histogram.items())
-        m1 = math.fsum(k * p for k, p in items)
-        m2 = math.fsum(k * k * p for k, p in items)
+        ks, ps = discrete_pmf(model)
+        m1 = math.fsum(k * p for k, p in zip(ks, ps))
+        m2 = math.fsum(k * k * p for k, p in zip(ks, ps))
     return MomentSummary(m1, m2, m2 / m1)
 
 
@@ -198,14 +195,12 @@ def thin(model: DegreeModel, q: float) -> MomentSummary:
     return MomentSummary(m1, m2, tau)
 
 
-def discrete_pmf(model: DegreeModel) -> tuple[np.ndarray, np.ndarray]:
-    """An empirical model's normalized probability masses on the integer support [k_min, k_max]."""
-    import numpy as np
-    ks = np.arange(model.k_min, model.k_max + 1, dtype=np.int64)
-    w = np.zeros(ks.shape)
-    for k, p in model.histogram.items():
-        w[int(k) - model.k_min] += p
-    return ks, w / w.sum()
+def discrete_pmf(model: DegreeModel) -> tuple[range, list[float]]:
+    """An empirical model's degrees k_min..k_max and their normalized masses; nothing else reads the histogram."""
+    hist = model.histogram
+    ks = range(model.k_min, model.k_max + 1)
+    total = math.fsum(hist.values())
+    return ks, [hist.get(k, 0.0) / total for k in ks]
 
 
 def _continuous_inverse_cdf(model: DegreeModel, u: np.ndarray) -> np.ndarray:

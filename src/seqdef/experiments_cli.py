@@ -96,12 +96,6 @@ _KEY_TYPES = {
 }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def parse_grid(text: str, finite: bool = True) -> list[float]:
     """Parse non-empty 'a,b,c' lists or 'lo:hi:count[:log]' ranges into floats; log ranges need lo, hi > 0.
 
@@ -144,18 +138,17 @@ def _detectors(pd_grid, pf: float):
 
 
 def _render(config: ExperimentConfig, columns: list[str], rows: list[list]) -> str:
-    """The '# key = value' header, the column row, then the rows; `_fmt` writes each cell that is not a str."""
+    """The '# key = value' header, the column row, then the rows; floats are written as .12g, the rest by str."""
     lines = []
     for f in fields(config):
         value = getattr(config, f.name)
-        text = "" if value is None else _fmt(value)
+        text = "" if value is None else format(value, ".12g") if isinstance(value, float) else str(value)
         if isinstance(value, float) and float(text) != value:
             text = repr(value)  # .12g dropped digits (repr keeps NaN's text)
         lines.append(f"# {f.name} = {text}")
     lines.append(",".join(columns))
-    # class tests skip the `_fmt` call for label and float cells (most of m1's cells); each writes as `_fmt` does
     lines.extend(
-        ",".join([c if c.__class__ is str else format(c, ".12g") if c.__class__ is float else _fmt(c) for c in row])
+        ",".join([c if c.__class__ is str else format(c, ".12g") if isinstance(c, float) else str(c) for c in row])
         for row in rows
     )
     return "\n".join(lines) + "\n"

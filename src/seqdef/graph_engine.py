@@ -133,14 +133,15 @@ class QcEstimate(NamedTuple):
 def _er_gnp(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Exact G(n, p) edge codes via geometric skipping over the pair space."""
     total = n * (n - 1) // 2
-    if p <= 0.0:
+    if p <= 0.0:  # a subnormal k_hat divided by n rounds to 0, which the geometric sampler rejects
         return np.empty((0, 2), dtype=np.int64)
     blocks = []
     position = -1
     expect = int(p * total) + 1
     while position < total:
         gaps = rng.geometric(p, size=max(1024, int(0.1 * expect)))
-        codes = position + np.cumsum(gaps)
+        # a gap past the last pair ends the scan at any length; capped, gaps near 1/p cannot overflow int64
+        codes = position + np.cumsum(np.minimum(gaps, total + 1))
         blocks.append(codes)
         position = int(codes[-1])
     codes = np.concatenate(blocks)

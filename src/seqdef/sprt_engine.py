@@ -318,17 +318,6 @@ def _llr_drift(p1: float, p0: float) -> float:
     return p1 * z1 + (1.0 - p1) * z0
 
 
-def _llr_stats(p1: float, p0: float) -> tuple[float, float, float, float]:
-    """(E[z|H1], E[z|H0], sigma[z|H1], sigma[z|H0]) for success probs p1/p0."""
-    z1, z0 = _llr_pair(p1, p0)
-    spread = z1 - z0
-    e1 = _llr_drift(p1, p0)
-    e0 = p0 * z1 + (1.0 - p0) * z0
-    s1 = math.sqrt(p1 * (1.0 - p1)) * spread
-    s0 = math.sqrt(p0 * (1.0 - p0)) * spread
-    return e1, e0, s1, s0
-
-
 def expected_reports_random(q: float, detector: DetectorProfile, risk: RiskBudget) -> float:
     """Expected report count to identify a random attack on the q fraction.
 
@@ -372,7 +361,11 @@ def worst_case_bounds(
     p1 = _attacked_fraction(q_effective) * detector.p_d
     if p1 <= detector.p_f:
         raise NumericalError("worst-case bounds need q_effective * p_d > p_f")
-    e1, e0, s1, s0 = _llr_stats(p1, detector.p_f)
+    # mean and spread of one report's LLR under H1 and under H0
+    p0 = detector.p_f
+    z1, z0 = _llr_pair(p1, p0)
+    e1, e0 = p1 * z1 + (1.0 - p1) * z0, p0 * z1 + (1.0 - p0) * z0
+    s1, s0 = math.sqrt(p1 * (1.0 - p1)) * (z1 - z0), math.sqrt(p0 * (1.0 - p0)) * (z1 - z0)
     rt = math.sqrt(m_c)
     y1 = (risk.log_a - m_c * e1) / (rt * s1)
     y2 = (risk.log_b - m_c * e0) / (rt * s0)

@@ -69,7 +69,7 @@ class TestValidation:
             lambda: DegreeModel.power_law(2.5, k_min=7, k_max=7),
             lambda: DegreeModel.empirical({}),
             lambda: DegreeModel.empirical({1: 0.5, 2: 0.6}),
-            lambda: DegreeModel.empirical({1: 0.5, 9: 0.5}, k_max=5),
+            lambda: DegreeModel(kind="empirical", histogram={1: 0.5, 9: 0.5}, k_min=1, k_max=5),
             # NaN and ±inf passed the `<=` checks; qc_random then read them as subcritical (qc=0.0)
             lambda: DegreeModel.er(float("nan")),
             lambda: DegreeModel.er(float("inf")),
@@ -169,8 +169,8 @@ class TestDiscretization:
         model = DegreeModel.empirical({2: 0.5, 4: 0.25, 7: 0.25})
         ks, ps = discrete_pmf(model)
         assert ks[0] == model.k_min and ks[-1] == model.k_max
-        assert abs(ps.sum() - 1.0) < 1e-9
-        assert (ps >= 0).all()
+        assert abs(math.fsum(ps) - 1.0) < 1e-9
+        assert min(ps) >= 0
 
 
 class TestSampling:
@@ -226,6 +226,32 @@ class TestSampling:
         sq = seq**2
         se_second = sq.std() / math.sqrt(n)
         assert abs(sq.mean() - m.second_moment) < 3 * se_second
+
+    @pytest.mark.parametrize(
+        "model, mean",
+        [
+            # beta <= 1: inverse-CDF draw on [1, 30], whose mean a + beta - L/(e^{L/beta} - 1) the rounding keeps
+            (DegreeModel.exponential(0.8, k_max=30), 1.0 + 0.8 - 29.0 / math.expm1(29.0 / 0.8)),
+            # rng.choice over discrete_pmf's range and masses; the pmf mean
+            (DegreeModel.empirical({2: 0.5, 4: 0.25, 7: 0.25}), 0.5 * 2 + 0.25 * 4 + 0.25 * 7),
+            # Poisson(8) draws above k_max = 10 are redrawn: the mean of Poisson(8) given K <= 10
+            (
+                DegreeModel.er(8, k_max=10),
+                sum(k * 8**k / math.factorial(k) for k in range(11)) / sum(8**k / math.factorial(k) for k in range(11)),
+            ),
+        ],
+        ids=["exponential-inverse-cdf", "empirical-choice", "er-redraw"],
+    )
+    def test_sampler_branch_support_seed_and_mean(self, model, mean):
+        seq = sample_degree_sequence(model, 10**5, seed=5)
+        least = 0 if model.kind == "er" else model.k_min  # ER keeps its isolated nodes
+        assert least <= seq.min() and seq.max() <= model.k_max
+        assert np.array_equal(seq, sample_degree_sequence(model, 10**5, seed=5))
+        assert abs(seq.mean() - mean) < 4 * seq.std() / math.sqrt(len(seq))
+
+    def test_empirical_draws_only_histogram_degrees(self):
+        seq = sample_degree_sequence(DegreeModel.empirical({2: 0.5, 4: 0.25, 7: 0.25}), 10**4, seed=6)
+        assert set(np.unique(seq).tolist()) == {2, 4, 7}
 
     def test_size_below_two_rejected(self):
         with pytest.raises(ConfigError):

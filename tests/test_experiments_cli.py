@@ -151,6 +151,13 @@ class TestM1:
             assert 0.0 < float(row["qc_random"]) < 1.0
 
 
+    def test_subcritical_surface_point_is_skipped(self, capsys):
+        # k_hat = 0.5 has tau = 1.5: qc_random raises SubcriticalError, and the point writes no row
+        assert run(["m1", "--khat_grid", "0.5,4"]) == 0
+        surface = [line for line in capsys.readouterr().out.splitlines() if line.startswith("surface,er,")]
+        assert surface and all(line.startswith("surface,er,4,") for line in surface)
+
+
 class TestWorstCase:
     def test_bounds_converge_along_grid(self):
         config = ExperimentConfig(command="worst-case", qc_grid="0.05:0.6:12", pd=0.9, pf=0.001)

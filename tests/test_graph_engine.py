@@ -130,6 +130,17 @@ class TestGenerate:
         assert a.edge_text() == b.edge_text()
         assert a.edge_text() != c.edge_text()
 
+    @pytest.mark.parametrize(
+        "k_hat, n",
+        [
+            (5e-324, 3),  # k_hat / n rounds to 0, which numpy's geometric sampler rejects
+            (1e-14, 1000),  # gaps near 1e17 overflowed their int64 sum: 'edge endpoint outside [0, n)'
+            (1e-320, 100),  # gaps at the int64 limit wrapped the scan position, which then never passed the end
+        ],
+    )
+    def test_er_with_vanishing_link_probability_is_empty(self, k_hat, n):
+        assert generate(DegreeModel.er(k_hat, n=n), n, seed=0).edge_count == 0
+
     def test_configuration_model_preserves_sequence(self):
         model = DegreeModel.power_law(2.5, k_max=40, n=2000)
         seq = sample_degree_sequence(model, 2000, seed=17)

@@ -43,6 +43,19 @@ def test_analytic_command_leaves_numpy_out(command, capsys):
     assert proc.stdout == capsys.readouterr().out.encode()
 
 
+def test_empirical_thresholds_leave_numpy_out():
+    # an empirical model's analytic readers share one pure-Python pmf; cutoff_degree returned np.float64
+    _fresh(
+        "import sys\n"
+        "from seqdef import DegreeModel, cutoff_degree, moments, qc_random, thin\n"
+        "model = DegreeModel.empirical({2: .5, 4: .25, 7: .25}, n=1000)\n"
+        "moments(model), qc_random(model), thin(model, 0.3)\n"
+        "cutoff = cutoff_degree(model, 0.3)\n"
+        "assert type(cutoff) is float, type(cutoff)\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+    )
+
+
 def test_public_names_resolve_by_getattr():
     # each name is the object its home module defines, whether bound at import or on first use
     _fresh(

@@ -224,3 +224,37 @@ class TestIntentionalAttack:
             assert model.k_min <= rep.cutoff_degree <= model.k_max
             assert 0.0 <= rep.link_deletion_prob <= 1.0
             assert 0.0 <= rep.qc <= 1.0
+
+
+def _counted(f):
+    """`f` and the list of points it is called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+class TestBisectRoot:
+    @pytest.mark.parametrize("root", [1.0, 2.0])
+    def test_exact_root_at_an_endpoint_is_returned(self, root):
+        f, calls = _counted(lambda x: x - root)
+        assert bisect_root(f, 1.0, 2.0) == root
+        assert calls == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "jump, lo, hi, n_calls, found",
+        [
+            (0.3, 0.0, 1.0, 57, "0x1.3333333333332p-2"),  # the width test stops it
+            # once |mid| >= 0.5 one ulp exceeds 1e-16 * |mid|: the width test cannot fire, and the
+            # jump never gives |f| < 1e-10, so all MAX_ITER steps run and the midpoint falls through
+            (1.3, 1.0, 2.0, 202, "0x1.4ccccccccccccp+0"),
+            (0.6, 0.0, 1.0, 202, "0x1.3333333333332p-1"),
+        ],
+    )
+    def test_jump_stops_at_width_or_max_iter(self, jump, lo, hi, n_calls, found):
+        f, calls = _counted(lambda x: -1.0 if x < jump else 1.0)
+        assert bisect_root(f, lo, hi).hex() == found
+        assert len(calls) == n_calls
