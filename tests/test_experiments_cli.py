@@ -150,7 +150,6 @@ class TestM1:
         for row in surface:
             assert 0.0 < float(row["qc_random"]) < 1.0
 
-
     def test_subcritical_surface_point_is_skipped(self, capsys):
         # k_hat = 0.5 has tau = 1.5: qc_random raises SubcriticalError, and the point writes no row
         assert run(["m1", "--khat_grid", "0.5,4"]) == 0

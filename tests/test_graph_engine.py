@@ -135,7 +135,7 @@ class TestGenerate:
         [
             (5e-324, 3),  # k_hat / n rounds to 0, which numpy's geometric sampler rejects
             (1e-14, 1000),  # gaps near 1e17 overflowed their int64 sum: 'edge endpoint outside [0, n)'
-            (1e-320, 100),  # gaps at the int64 limit wrapped the scan position, which then never passed the end
+            (1e-320, 100),  # gaps at the int64 limit wrapped the scan position, and the scan ran on
         ],
     )
     def test_er_with_vanishing_link_probability_is_empty(self, k_hat, n):
