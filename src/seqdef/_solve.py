@@ -84,8 +84,7 @@ def bisect_root(
         raise NoRootError(what, lo, hi, f_lo, f_hi)
     for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) < ABS_TOL or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
+        if mid <= lo or mid >= hi or abs(f_mid := f(mid)) < ABS_TOL:  # no float strictly inside, or a root
             return mid
         if f_lo * f_mid <= 0.0:
             hi, f_hi = mid, f_mid

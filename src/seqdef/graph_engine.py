@@ -17,30 +17,26 @@ over a shortest-path DAG sorted by level, with dependencies in reciprocal
 form. The scores are rounded to TIE_DIGITS significant digits before
 sorting, so float-noise ties break by index.
 
-Two kinds of work run as many small tasks: Brandes lane blocks and
-random-attack trials. Both go through one ordered map, `_ordered_map`,
-which hands the tasks to forked worker processes in batches and yields
-one result per task, in task order. The caller folds those results in
-that order, so no output depends on the batch size or the CPU count.
+Brandes lane blocks and random-attack trials are tasks of the one map
+`_rand._ordered_map`, which also runs detection chunks; its results are
+folded in task order, so no output depends on the CPU count.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._rand import _seed, rng_stream
+from ._rand import _ordered_map, _seed, rng_stream
 from ._solve import _count, _whole
 from .degree_models import ER, DegreeModel, sample_degree_sequence
 from .errors import ConfigError
 from .sprt_engine import INTENTIONAL, RANDOM, AttackPlan, _attack_scheme, _attacked_fraction
 
 REWIRE_SWEEPS = 100
-GROUP_STATES = 1 << 18  # array entries per batch of `_ordered_map` (each task's nodes plus half-edges); sets scheduling only, never an output
 LANES = 32  # Brandes sources per BFS, one bit each of a uint32 word per node
 TIE_DIGITS = 9
 
@@ -405,7 +401,7 @@ def _brandes_batches(n: int, edges: np.ndarray, weight: np.ndarray) -> np.ndarra
     through `_ordered_map`, and the blocks' partial scores are added in
     block order. Float sums depend on their order, and this one is fixed by
     the graph alone: the scores are the same bit for bit inline or forked,
-    in any batches.
+    on any CPU count.
     """
     indptr, degree, neighbour = _csr(n, edges)
     lanes = functools.partial(_brandes_lanes, n, indptr, neighbour, np.repeat(np.arange(n), degree), weight)
@@ -461,46 +457,6 @@ def _brandes_lanes(n, indptr, neighbour, tail, weight, lo) -> np.ndarray:
     delta = sigma * (r - share)
     delta[origin] = 0.0
     return (delta.reshape(n, LANES)[:, : src.size] * weight[src]).sum(axis=1)
-
-
-def _ordered_map(fn, tasks: range, states: int):
-    """Yield fn(task) for every task, in task order, forked in batches of about GROUP_STATES array entries.
-
-    A task holds `states` node and half-edge entries, so a batch is
-    max(1, GROUP_STATES // states) tasks. The map runs inline when one
-    batch holds every task or one CPU is usable; otherwise
-    min(usable CPUs, batches) forked workers take a batch at a time.
-    Results come in task order whatever order the workers finish in, so a
-    caller that folds them as they come sums its floats in one fixed
-    order, whatever the batch size. `fn` and its bound arrays travel with
-    each batch. Fork lets the workers inherit the imported package, and is
-    safe because the package starts no threads. Workers keep their heap
-    (`_keep_heap`): glibc otherwise hands each task's freed multi-MB arrays
-    back to the kernel, and a stand-in `powergrid` pass cost its workers
-    117-140k minor page faults; with the heap kept, about 17k.
-    """
-    batch = max(1, GROUP_STATES // states)
-    workers = min(len(os.sched_getaffinity(0)), -(-len(tasks) // batch))
-    if workers < 2:
-        yield from map(fn, tasks)
-        return
-    # imported here, so that importing `graph_engine` stays cheap
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=_keep_heap) as pool:
-        yield from pool.map(fn, tasks, chunksize=batch)
-
-
-def _keep_heap():
-    """Pool initializer: glibc keeps freed blocks up to 32 MiB in the worker's heap and never trims it below 1 GiB."""
-    import ctypes
-
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc's; other C libraries may lack it
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
 def removal_order(graph: NetworkGraph, scheme: str, seed: int) -> np.ndarray:
@@ -606,7 +562,7 @@ def average_random_attack(graph: NetworkGraph, q: float, step_count: int, trials
 
     Each trial is one task of `_ordered_map` that returns its own arrays,
     and the parent adds them in trial order, so the curve is the same bit
-    for bit on any CPU count and in any batches.
+    for bit inline or forked, on any CPU count.
     """
     return _removal_curve(graph, RANDOM, q, step_count, trials, seed)
 

@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from ._rand import _seed, rng_stream
+from ._rand import _ordered_map, _seed, rng_stream
 from ._solve import _count, ceil_count, clamp01
 from .errors import ConfigError, NumericalError
 
@@ -48,8 +48,8 @@ H0 = "h0"
 H1 = "h1"
 
 # Monte-Carlo stream layout: runs form chunks of ROW_CHUNK, each with its own stream, so changing
-# it changes every `simulate_detection` summary. A chunk bounds one kernel call's memory (64 KiB per
-# array); chunks run one after another. 16,384 ran no faster in more memory; 32,768 ran slower.
+# it changes every `simulate_detection` summary. A chunk is one task of `_ordered_map` and bounds one
+# kernel call's memory (64 KiB per array). 16,384 ran no faster in more memory; 32,768 ran slower.
 ROW_CHUNK = 8192
 
 
@@ -392,6 +392,7 @@ def worst_case_bounds(
     )
 
 
+@functools.lru_cache(maxsize=32)  # per process: a forked worker fills its own copy
 def _verdict_table(z1, z0, log_a, log_b, limit):
     """Wald's table of the count-form rule: a cached function d -> (lo, hi, forced).
 
@@ -410,33 +411,43 @@ def _verdict_table(z1, z0, log_a, log_b, limit):
     return table
 
 
-def _exponential_gaps(rng, success):
-    """`gaps(size)`: float Geometric(success) gaps, ⌈E / -log1p(-success)⌉ of an exponential E, at least 1."""
+def _exponential_gaps(rng, success, rows):
+    """`gaps(size)`: float Geometric(success) gaps, ⌈E / -log1p(-success)⌉ of an exponential E, at least 1, in one reused array of `rows`."""
     import numpy as np
     rate = max(-math.log1p(-success), 1e-300)  # a subnormal divisor (p below ~2.2e-308) overflows the quotient
-    return lambda size: np.maximum(np.ceil(rng.standard_exponential(size) / rate), 1.0)
+    out = np.empty(rows)
+
+    def gaps(size):
+        gap = rng.standard_exponential(out=out[:size])
+        return np.maximum(np.ceil(np.divide(gap, rate, out=gap), out=gap), 1.0, out=gap)
+
+    return gaps
 
 
-def _detection_chunk(table, limit, m_c, rows, gaps):
-    """Run `rows` tests, one call of `gaps(size)` per round for the runs still undecided.
+def _detection_chunk(z1, z0, log_a, log_b, limit, m_c, trials, seed, success, k):
+    """Run chunk k of `trials` tests, drawing from `rng_stream(seed, 0x5D, k)` once per round for the runs still undecided.
 
-    `gaps` gives float gaps to the next one-report; reports past `limit` are
-    inert. In round j every undecided run holds d = j - 1 ones, and its zeros
-    carry it to `table(d)`'s hi. A run whose next one-report comes later stops
-    there, or at m_c if hi is past `limit`; the others are classified at their
-    one-report by `table(d + 1)`. Returns (below, above, ua, un, stop_sum,
-    stop_max): verdicts at a threshold below lo and from hi on, attack and
-    null verdicts at truncation, and the sum and maximum of the stop indices.
+    Gaps to the next one-report come from `_exponential_gaps`, as floats
+    (exact below 2**53; a time past `limit` is never cast); reports past
+    `limit` are inert. In round j every undecided run holds d = j - 1 ones,
+    and its zeros carry it to `table(d)`'s hi. A run whose next one-report
+    comes later stops there, or at m_c if hi is past `limit`; the others are
+    classified at their one-report by `table(d + 1)`. Returns (below, above,
+    ua, un, stop_sum, stop_max): verdicts at a threshold below lo and from
+    hi on, attack and null verdicts at truncation, and the sum and maximum
+    of the stop indices.
     """
     import numpy as np
+    rows = min(ROW_CHUNK, trials - k * ROW_CHUNK)
+    table, gaps = _verdict_table(z1, z0, log_a, log_b, limit), _exponential_gaps(rng_stream(seed, 0x5D, k), success, rows)
     below = above = ua = un = stop_sum = stop_max = 0
-    last = np.zeros(rows, dtype=np.int64)  # latest one-report of each undecided run, in run order
+    last = np.zeros(rows)  # latest one-report of each undecided run, in run order
     d = 0  # one-reports so far, the same for every undecided run
     while last.size:
         _, hi, forced = table(d)
-        t = last + gaps(last.size)  # floats, compared before the cast, so a gap beyond int64 is never cast
-        inside = t <= min(hi, limit)  # next one-report comes before the run leaves
-        t = t[inside].astype(np.int64)
+        t = gaps(last.size)
+        t += last
+        t = t[t <= min(hi, limit)]  # runs whose next one-report comes before they leave
         gone = last.size - t.size
         if gone and hi <= limit:
             above, stop_sum, stop_max = above + gone, stop_sum + gone * hi, max(stop_max, hi)
@@ -446,7 +457,7 @@ def _detection_chunk(table, limit, m_c, rows, gaps):
         d += 1
         lo, hi, _ = table(d)
         live = (lo <= t) & (t < hi)
-        stops, last = t[~live], t[live]
+        stops, last = t[~live].astype(np.int64), t[live]
         from_hi = int(np.count_nonzero(stops >= hi))
         below, above = below + stops.size - from_hi, above + from_hi
         stop_sum, stop_max = stop_sum + int(stops.sum()), max(stop_max, int(stops.max(initial=0)))
@@ -475,8 +486,9 @@ def simulate_detection(
     the gap to each one's j-th one-report is ⌈E / max(−log1p(−p), 1e-300)⌉, at least 1:
     numpy's p < 1/3 geometric method, used for every p. States are classified by `_verdict_table`,
     the count-form rule as integers; an inert first segment draws nothing. Chunks fix
-    the stream and bound memory: they run one after another in chunk order and their
-    counts are summed, so the summary is the same on any machine.
+    the stream and bound memory. They are the tasks of `_ordered_map`, so they may run on
+    pinned forked workers, and their integer counts are summed in chunk order, so the
+    summary is the same on any machine and any CPU count.
     """
     trials = _count(trials, "trials")
     m_c = _count(m_c, "report budget m_c")
@@ -488,13 +500,8 @@ def simulate_detection(
     limit = min(stop, m_c)
     if z1 == 0.0 and z0 == 0.0:  # inert stream: the LLR stays 0, so every run is truncated to null
         return DetectionSummary(trials, float(m_c), m_c, 0, 0, 0, trials)
-    table = _verdict_table(z1, z0, risk.log_a, risk.log_b, limit)
-    results = [
-        _detection_chunk(
-            table, limit, m_c, min(ROW_CHUNK, trials - k * ROW_CHUNK), _exponential_gaps(rng_stream(seed, 0x5D, k), success)
-        )
-        for k in range(-(-trials // ROW_CHUNK))
-    ]
+    chunk = functools.partial(_detection_chunk, z1, z0, risk.log_a, risk.log_b, limit, m_c, trials, seed, success)
+    results = list(_ordered_map(chunk, range(-(-trials // ROW_CHUNK)), ROW_CHUNK))
     below, above, ua, un, stop_sum = (sum(result[i] for result in results) for i in range(5))
     ta, tn = (below, above) if z0 <= 0.0 else (above, below)
     return DetectionSummary(

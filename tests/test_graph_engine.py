@@ -4,8 +4,6 @@ import ast
 import ctypes
 import hashlib
 import itertools
-import multiprocessing
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -23,7 +21,9 @@ from seqdef import (
     AttackPlan,
     ConfigError,
     DegreeModel,
+    DetectorProfile,
     NetworkGraph,
+    RiskBudget,
     average_random_attack,
     betweenness,
     estimate_qc,
@@ -35,10 +35,11 @@ from seqdef import (
     removal_order,
     sample_degree_sequence,
     simulate_attack,
+    simulate_detection,
 )
-from seqdef import graph_engine
+from seqdef import _rand
+from seqdef._rand import GROUP_STATES
 from seqdef.graph_engine import (
-    GROUP_STATES,
     _lcc_by_removed,
     _random_order,
     _removal_curve,
@@ -46,6 +47,7 @@ from seqdef.graph_engine import (
     _tau_constants,
 )
 
+from conftest import leftover_children
 from oracles import min_disruptive_fraction
 
 
@@ -371,20 +373,20 @@ def test_betweenness_matches_networkx(g):
     assert np.allclose(betweenness(g), [normalized[v] for v in range(g.n)], rtol=0, atol=1e-12)
 
 
-def batches(tasks, states):
-    """Batches in which `_ordered_map` hands out `tasks` tasks of `states` node and half-edge entries each."""
-    return -(-tasks // max(1, GROUP_STATES // states))
+def forks(tasks, states):
+    """Whether `_ordered_map` forks `tasks` tasks of `states` node and half-edge entries each, given 2 usable CPUs."""
+    return tasks > 1 and tasks * states > GROUP_STATES
 
 
-def block_batches(core):
-    """Batches of the 32-source lane blocks that `betweenness` maps over a graph whose 2-core is `core`."""
+def lane_blocks(core):
+    """(tasks, states) of the 32-source lane blocks that `betweenness` maps over a graph whose 2-core is `core`."""
     nodes = core.number_of_nodes()
-    return batches(-(-nodes // 32), 32 * (nodes + 2 * core.number_of_edges()))
+    return -(-nodes // 32), 32 * (nodes + 2 * core.number_of_edges())
 
 
 def test_betweenness_matches_networkx_across_batches():
-    # every case the tree fold handles, on a graph whose 2-core spans more than two batches of
-    # lane blocks, so that forked workers each run several batches
+    # every case the tree fold handles, on a graph whose 2-core has enough lane blocks to fork,
+    # so that forked workers each run several blocks
     base = generate(DegreeModel.er(2.5, n=600), 600, seed=5)
     star = [(600, v) for v in range(601, 606)]
     pendant_path = [(0, 606), (606, 607), (607, 608), (608, 609)]
@@ -399,12 +401,13 @@ def test_betweenness_matches_networkx_across_batches():
     graph = to_networkx(g)
     core = nx.k_core(graph, 2)  # what Brandes runs on after the fold
     assert core.number_of_nodes() < (degrees > 1).sum()
-    assert block_batches(core) > 2
+    blocks, states = lane_blocks(core)
+    assert forks(blocks, states) and blocks > 4
     raw = nx.betweenness_centrality(graph, normalized=False)
     normalized = nx.betweenness_centrality(graph)
     assert np.allclose(betweenness(g, normalized=False), [2 * raw[v] for v in range(g.n)], rtol=1e-12, atol=1e-12)
     assert np.allclose(betweenness(g), [normalized[v] for v in range(g.n)], rtol=0, atol=1e-12)
-    assert multiprocessing.active_children() == []
+    assert leftover_children() == []
 
 
 def run_on_one_cpu(snippet):
@@ -426,10 +429,10 @@ def test_betweenness_independent_of_cpu_count():
         "sys.stdout.buffer.write(betweenness(generate(DegreeModel.er(2.67, n=900), 900, seed=4)).tobytes())"
     )
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
-    assert block_batches(nx.k_core(to_networkx(g), 2)) > 1
+    assert forks(*lane_blocks(nx.k_core(to_networkx(g), 2)))
     for _ in range(3):
         assert np.array_equal(np.frombuffer(inline), betweenness(g))
-    assert multiprocessing.active_children() == []
+    assert leftover_children() == []
 
 
 def assert_betweenness_matches_networkx(g):
@@ -470,57 +473,67 @@ def test_betweenness_order_on_stand_in_is_pinned():
     g = generate(DegreeModel.er(2.67, n=4941), 4941, seed=3)
     digest = hashlib.sha256(removal_order(g, "betweenness", 0).tobytes()).hexdigest()
     assert digest == "1ec86395b1b9ae290ca835b23f7a8e9606ab328a8f2cd06ce1036fa1babc7f20"
-    assert multiprocessing.active_children() == []
+    assert leftover_children() == []
 
 
-def test_keep_heap_is_only_the_pool_initializer():
+def names_read(name):
+    """(file, enclosing function) of every place the package's modules read `name`; not its assignment or def."""
+    reads = []
+    for path in Path(seqdef.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        reads += [
+            (path.name, owner.get(id(n)))
+            for n in ast.walk(tree)  # names, attributes and imports
+            if name in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None))
+            and not isinstance(getattr(n, "ctx", None), ast.Store)
+            and not isinstance(n, ast.FunctionDef)
+        ]
+    return reads
+
+
+def test_keep_heap_runs_only_in_forked_workers():
     # the allocator settings are for forked workers alone; the calling process, and with it the
     # inline one-CPU path and every in-process workload, keeps glibc's defaults
-    uses = []
-    for path in Path(seqdef.__file__).parent.glob("*.py"):
-        nodes = list(ast.walk(ast.parse(path.read_text())))
-        calls = [n for n in nodes if isinstance(n, ast.Call)]
-        initializers = {id(k.value) for call in calls for k in call.keywords if k.arg == "initializer"}
-        uses += [(path.name, id(n) in initializers) for n in nodes if isinstance(n, ast.Name) and n.id == "_keep_heap"]
-    assert uses == [("graph_engine.py", True)]
+    assert names_read("_keep_heap") == [("_rand.py", "_worker")]
 
 
-def test_forked_betweenness_without_mallopt(monkeypatch):
-    # where libc has no mallopt the worker initializer does nothing; forked scores still equal the
-    # inline ones
+def test_forked_betweenness_without_mallopt(monkeypatch, cpus):
+    # where libc has no mallopt the workers keep the allocator's defaults; forked scores still equal
+    # the inline ones
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
-    assert block_batches(nx.k_core(to_networkx(g), 2)) > 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert forks(*lane_blocks(nx.k_core(to_networkx(g), 2)))
+    cpus(1)
     inline = betweenness(g)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cpus(2)
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
     assert np.array_equal(betweenness(g), inline)
-    assert multiprocessing.active_children() == []
+    assert leftover_children() == []
 
 
 def test_random_curve_independent_of_cpu_count():
     # one usable CPU runs the trials inline; the curve must equal the forked runs'. As for
-    # betweenness, a few forked runs catch trials added as their batches complete
+    # betweenness, a few forked runs catch trials added as their workers complete
     inline = run_on_one_cpu(
         "import sys; from seqdef import DegreeModel, average_random_attack, generate; "
         "c = average_random_attack(generate(DegreeModel.er(2.67, n=2000), 2000, seed=4), 0.5, 9, 150, seed=6); "
         "sys.stdout.buffer.write(c.lcc_by_removed.tobytes() + c.remaining_tau.tobytes())"
     )
     g = generate(DegreeModel.er(2.67, n=2000), 2000, seed=4)
-    assert batches(150, g.n + 2 * g.edge_count) > 3
+    assert forks(150, g.n + 2 * g.edge_count)
     for _ in range(3):
         curve = average_random_attack(g, 0.5, 9, 150, seed=6)
         assert np.array_equal(np.frombuffer(inline[: 8 * (g.n + 1)]), curve.lcc_by_removed)
         assert np.array_equal(np.frombuffer(inline[8 * (g.n + 1) :]), curve.remaining_tau)
-    assert multiprocessing.active_children() == []
+    assert leftover_children() == []
 
 
 def test_random_curve_is_the_trial_order_sum():
     # each trial hands back its own arrays and the parent adds them in trial order, so the curve
-    # over several batches is the plain loop over single trials, bit for bit
+    # from forked workers is the plain loop over single trials, bit for bit
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
     trials = 250
-    assert batches(trials, g.n + 2 * g.edge_count) > 2
+    assert forks(trials, g.n + 2 * g.edge_count)
     curve = average_random_attack(g, 0.5, 7, trials, seed=2)
     removed = np.round(np.linspace(0.0, 0.5, 7) * g.n).astype(np.int64)
     lcc, tau = np.zeros(g.n + 1), np.zeros(7)
@@ -530,51 +543,47 @@ def test_random_curve_is_the_trial_order_sum():
         tau += _tau_by_removed(g, order, _tau_constants(g))[removed]
     assert np.array_equal(curve.lcc_by_removed, lcc / trials)
     assert np.array_equal(curve.remaining_tau, tau / trials)
-    assert multiprocessing.active_children() == []
+    assert leftover_children() == []
 
 
-def test_batches_change_no_output(monkeypatch):
-    # the parent folds one result per lane block or trial in task order, so the batch size and the
-    # CPU count only schedule: one task per batch, the default and every task in one batch give the
-    # same bits, inline and forked. At the default the 2-core's blocks fill several batches of
-    # several blocks each
+def test_cpus_and_group_states_change_no_output(monkeypatch, cpus):
+    # the parent folds one result per lane block, trial or detection chunk in task order, so the CPU
+    # count and GROUP_STATES only schedule: a map forked on 2 or 3 CPUs, whether every map forks
+    # (GROUP_STATES = 1), the default or none does (2**40), gives the bits of the inline run
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
-    core = nx.k_core(to_networkx(g), 2)
-    assert 1 < block_batches(core) < -(-core.number_of_nodes() // 32)
+    assert forks(*lane_blocks(nx.k_core(to_networkx(g), 2)))
+    detect = (AttackPlan("random", 0.3, 10**4), DetectorProfile(0.5, 0.01), RiskBudget(0.01, 0.001), 60, 20000, 3)
     runs = set()
-    for states, cpus in itertools.product((1, GROUP_STATES, 2**40), (1, 2)):
-        monkeypatch.setattr(graph_engine, "GROUP_STATES", states)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+    for states, count in itertools.product((1, GROUP_STATES, 2**40), (1, 2, 3)):
+        monkeypatch.setattr(_rand, "GROUP_STATES", states)
+        cpus(count)
         curve = average_random_attack(g, 0.5, 5, 40, seed=0)
-        runs.add((betweenness(g).tobytes(), curve.lcc_by_removed.tobytes(), curve.remaining_tau.tobytes()))
+        summary = simulate_detection(*detect)
+        runs.add((betweenness(g).tobytes(), curve.lcc_by_removed.tobytes(), curve.remaining_tau.tobytes(), repr(summary)))
     assert len(runs) == 1
-    assert multiprocessing.active_children() == []
 
 
 def test_only_ordered_map_reads_group_states():
-    # the batch size is a scheduling choice made in one place; code that read it elsewhere could
+    # the fork threshold is a scheduling choice made in one place; code that read it elsewhere could
     # make an output depend on it again
-    reads = []
-    for path in Path(seqdef.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        owner = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
-        reads += [
-            (path.name, owner.get(id(n)))
-            for n in ast.walk(tree)  # names, attributes and imports; not the one assignment
-            if "GROUP_STATES" in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None))
-            and not isinstance(getattr(n, "ctx", None), ast.Store)
-        ]
-    assert reads == [("graph_engine.py", "_ordered_map")]
+    assert names_read("GROUP_STATES") == [("_rand.py", "_ordered_map")]
 
 
 def test_import_leaves_scipy_out():
-    # the package's runtime dependency is numpy alone; scipy is a test-only dependency.
-    # concurrent.futures (and the logging it pulls in) and multiprocessing load only when
-    # `_ordered_map` hands batches of lane blocks or random trials to worker processes, so
-    # importing `graph_engine` stays cheap
+    # the package's runtime dependency is numpy alone; scipy is a test-only dependency. The
+    # forked map uses os.fork and pipes, so that neither importing `graph_engine` nor a forked
+    # betweenness or detection run loads concurrent.futures, the logging it pulls in, or
+    # multiprocessing
     src = Path(seqdef.__file__).resolve().parents[1]
     modules = ("scipy", "concurrent.futures", "logging", "multiprocessing")
-    code = f"import sys, seqdef, seqdef.graph_engine; sys.exit(any(m in sys.modules for m in {modules}))"
+    code = (
+        "import sys, seqdef, seqdef.graph_engine\n"
+        f"assert not any(m in sys.modules for m in {modules})\n"
+        "from seqdef import *\n"
+        "betweenness(generate(DegreeModel.er(2.67, n=900), 900, seed=4))\n"
+        "simulate_detection(AttackPlan('random', 0.3, 50), DetectorProfile(0.5, 0.01), RiskBudget(0.01, 0.001), 50, 300000, 7)\n"
+        f"sys.exit(any(m in sys.modules for m in {modules}))"
+    )
     assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}).returncode == 0
 
 

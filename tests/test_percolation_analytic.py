@@ -247,11 +247,13 @@ class TestBisectRoot:
     @pytest.mark.parametrize(
         "jump, lo, hi, n_calls, found",
         [
-            (0.3, 0.0, 1.0, 57, "0x1.3333333333332p-2"),  # the width test stops it
-            # once |mid| >= 0.5 one ulp exceeds 1e-16 * |mid|: the width test cannot fire, and the
-            # jump never gives |f| < 1e-10, so all MAX_ITER steps run and the midpoint falls through
-            (1.3, 1.0, 2.0, 202, "0x1.4ccccccccccccp+0"),
-            (0.6, 0.0, 1.0, 202, "0x1.3333333333332p-1"),
+            # the jump never gives |f| < 1e-10, so bisection stops once no float lies strictly inside
+            # the bracket, at any |mid| (a relative width test could not fire once |mid| >= 0.5)
+            (0.3, 0.0, 1.0, 56, "0x1.3333333333332p-2"),
+            (1.3, 1.0, 2.0, 54, "0x1.4ccccccccccccp+0"),
+            (0.6, 0.0, 1.0, 55, "0x1.3333333333332p-1"),
+            # halving [0, 1] towards 1e-300 takes about 1000 steps: all MAX_ITER run and the midpoint falls through
+            (1e-300, 0.0, 1.0, 202, "0x1.0000000000000p-201"),
         ],
     )
     def test_jump_stops_at_width_or_max_iter(self, jump, lo, hi, n_calls, found):

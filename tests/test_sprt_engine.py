@@ -37,7 +37,7 @@ from seqdef import (
 )
 
 from oracles import exact_truncated_test
-from seqdef._rand import rng_stream
+from seqdef._rand import GROUP_STATES, rng_stream
 from seqdef.sprt_engine import ROW_CHUNK, _count_llr, _exponential_gaps, _llr_pair, _verdict_table
 
 RISK = RiskBudget(0.01, 0.001)
@@ -311,7 +311,7 @@ class TestSuccessTimeKernel:
         success = p1 if truth == "h1" else det.p_f
         script = iter(gaps)
 
-        def scripted(rng, p):
+        def scripted(rng, p, rows):
             assert p == success
             return lambda size: np.array([float(next(script, 2**40))])
 
@@ -365,14 +365,14 @@ class TestExponentialGaps:
         # numpy draws geometric variates by this inversion below p = 1/3: same gaps, same next draw
         for seed in range(10):
             ours, numpys = rng_stream(seed, 0x5D, 0), rng_stream(seed, 0x5D, 0)
-            assert np.array_equal(_exponential_gaps(ours, p)(4096), numpys.geometric(p, 4096))
+            assert np.array_equal(_exponential_gaps(ours, p, 4096)(4096), numpys.geometric(p, 4096))
             assert ours.random() == numpys.random()
 
     @pytest.mark.parametrize("p", [0.5, 0.9])
     def test_law_at_and_above_one_third(self, p):
         # numpy searches here instead; the gaps must still be Geometric(p): each of 1..5 within 4 SE
         n = 10**5
-        gaps = _exponential_gaps(rng_stream(3, 0x5D, 0), p)(n)
+        gaps = _exponential_gaps(rng_stream(3, 0x5D, 0), p, n)(n)
         assert gaps.min() >= 1.0 and np.array_equal(gaps, np.floor(gaps))
         for k in range(1, 6):
             exact = (1 - p) ** (k - 1) * p
@@ -380,9 +380,9 @@ class TestExponentialGaps:
 
     def test_zero_exponential_gives_gap_one(self):
         # standard_exponential returns exactly 0 with probability about 2**-53 a draw, and ceil(0) is 0
-        zeros = SimpleNamespace(standard_exponential=lambda size: np.zeros(size))
+        zeros = SimpleNamespace(standard_exponential=lambda out: np.multiply(out, 0.0, out=out))
         for p in (1e-300, 0.2, 0.5, 0.9):
-            assert _exponential_gaps(zeros, p)(3).tolist() == [1.0, 1.0, 1.0]
+            assert _exponential_gaps(zeros, p, 3)(3).tolist() == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("p", [1e-18, 1e-300, 1e-310, 5e-324])
     def test_vanishing_success_probability(self, p):
@@ -585,6 +585,12 @@ class TestSimulateDetection:
             (AttackPlan("random", 0.9, 100), (0.3, 0.2), 3, 2000, 1, "h1"),
             (3.0, 3, 0, 0, 1193, 807),
         ),
+        # the benchmark's short_h1 regime in 37 chunks, more than GROUP_STATES // ROW_CHUNK = 32,
+        # so that it forks on 2 CPUs; three_chunks runs inline
+        "forked_short_h1": (
+            (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 50, 300_000, 7, "h1"),
+            (19.27384, 50, 281171, 192, 14698, 3939),
+        ),
     }
 
     @staticmethod
@@ -629,19 +635,22 @@ class TestSimulateDetection:
         assert time.perf_counter() - start < 1.0
         assert huge == self._pinned("three_chunks")[0]
 
-    def test_summary_independent_of_cpu_count(self):
-        # one usable CPU and every usable CPU give the pinned summary, and neither run starts a thread pool
-        trials = self.PINNED["three_chunks"][0][3]
+    @pytest.mark.parametrize("name", ["three_chunks", "forked_short_h1"])
+    def test_summary_independent_of_cpu_count(self, name):
+        # one usable CPU and every usable CPU give the pinned summary, inline or from forked
+        # workers, and neither run starts a thread or process pool
+        (plan, det, m_c, trials, seed, truth), _ = self.PINNED[name]
+        assert (-(-trials // ROW_CHUNK) * ROW_CHUNK > GROUP_STATES) == (name == "forked_short_h1")
         run = (
             "import sys; "
             "from seqdef import AttackPlan, DetectorProfile, RiskBudget, simulate_detection; "
-            "print(repr(simulate_detection(AttackPlan('random', 0.3, 10**4), DetectorProfile(0.5, 0.01), "
-            f"RiskBudget(0.01, 0.001), 10**4, {trials}, 11, truth='h1'))); "
+            f"print(repr(simulate_detection(AttackPlan({plan.scheme!r}, {plan.q!r}, {plan.n}), DetectorProfile{det!r}, "
+            f"RiskBudget(0.01, 0.001), {m_c}, {trials}, {seed}, truth={truth!r}))); "
             "print('concurrent.futures' in sys.modules)"
         )
         one_cpu = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
         src = Path(seqdef.__file__).resolve().parents[1]
-        summary, expected = self._pinned("three_chunks")
+        summary, expected = self._pinned(name)
         assert repr(summary) == repr(expected)
         for code in (one_cpu + run, run):
             child = subprocess.run(
