@@ -5,10 +5,11 @@ counter-based generator (numpy's implementation). A stream is addressed
 by the user seed plus a small tuple of stream indices (e.g. a trial
 number), so independent trials can run in parallel and any run can be
 reproduced from (seed, indices) alone. A seed is any whole number; its
-low 64 bits address the stream. One map, `_ordered_map`, runs the three
-kinds of parallel task (Brandes lane blocks, random-attack trials and
-detection chunks), and callers fold its results in task order, so no
-output depends on the CPU count.
+low 64 bits address the stream. One map, `_ordered_map`, runs the two
+kinds of parallel task (Brandes lane blocks and random-attack trials),
+and callers fold its results in task order, so no output depends on the
+CPU count. Detection needs no map: `simulate_detection` draws all its
+runs' outcomes in one multinomial over the test's exact law.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ over a shortest-path DAG sorted by level, with dependencies in reciprocal
 form. The scores are rounded to TIE_DIGITS significant digits before
 sorting, so float-noise ties break by index.
 
-Brandes lane blocks and random-attack trials are tasks of the one map
-`_rand._ordered_map`, which also runs detection chunks; its results are
-folded in task order, so no output depends on the CPU count.
+Brandes lane blocks and random-attack trials are the tasks of the one map
+`_rand._ordered_map`; its results are folded in task order, so no output
+depends on the CPU count.
 """
 
 from __future__ import annotations

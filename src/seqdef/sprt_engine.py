@@ -9,13 +9,16 @@ is Bernoulli(p_f).
 `report_segments` describes the H1 stream once, as runs of constant
 success probability: one run at q * p_d for a random attack; the
 attacked set at p_d, then inert reports (zero LLR) for a targeted one.
-The per-report LLR, the count-form decision, the Monte-Carlo success-time
-kernel and the LLR moments (report counts, bounds, KL rate) read them.
+The per-report LLR, the count-form decision, the exact law of the test
+and the LLR moments (report counts, bounds, KL rate) read them.
 
 The count-form rule is stated in `decision_by_counts` and tabulated by
-`_verdict_table` as Wald's integer stopping bounds per one-report count,
-which the Monte-Carlo kernel reads. The kernel draws the geometric gaps
-between one-reports by inverting one exponential each (Devroye 1986, ch. X).
+`_verdict_table` as Wald's integer stopping bounds per one-report count.
+`_detection_law` steps the count lattice through that table's undecided
+band one report at a time, giving the exact probability of every
+(verdict, stop index) atom (Wald 1947). `simulate_detection` draws the
+atom counts of its runs from them in one multinomial (Devroye 1986,
+ch. XI), which has the law of running the tests one by one.
 
 Since detectors are i.i.d. given a_i, only the a_i sequence matters for
 simulation; the descending-degree report order is a labeling convention.
@@ -31,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from ._rand import _ordered_map, _seed, rng_stream
+from ._rand import _seed, rng_stream
 from ._solve import _count, ceil_count, clamp01
 from .errors import ConfigError, NumericalError
 
@@ -47,10 +50,9 @@ ACCEPT_NULL = "accept_null"
 H0 = "h0"
 H1 = "h1"
 
-# Monte-Carlo stream layout: runs form chunks of ROW_CHUNK, each with its own stream, so changing
-# it changes every `simulate_detection` summary. A chunk is one task of `_ordered_map` and bounds one
-# kernel call's memory (64 KiB per array). 16,384 ran no faster in more memory; 32,768 ran slower.
-ROW_CHUNK = 8192
+# Undecided mass below which `_walk` stops and keeps the rest as one remainder atom, which a draw
+# that lands on it walks on from; changing it changes `simulate_detection` summaries, never their law.
+EPSILON = 1e-17
 
 
 def normal_cdf(x: float) -> float:
@@ -297,7 +299,7 @@ def decision_by_counts(
     are inert beyond the attacked set, so d_m counts successes among the
     first min(m, M) reports only, so d_m <= min(m, M). It is the
     reference for `_verdict_table`, which tabulates the same expression,
-    `_count_llr`, for the Monte-Carlo kernel.
+    `_count_llr`, for the lattice walk of `_detection_law`.
     """
     m = _count(m, "report count m")
     d_m = _count(d_m, "success count d_m", 0)
@@ -392,7 +394,6 @@ def worst_case_bounds(
     )
 
 
-@functools.lru_cache(maxsize=32)  # per process: a forked worker fills its own copy
 def _verdict_table(z1, z0, log_a, log_b, limit):
     """Wald's table of the count-form rule: a cached function d -> (lo, hi, forced).
 
@@ -411,57 +412,66 @@ def _verdict_table(z1, z0, log_a, log_b, limit):
     return table
 
 
-def _exponential_gaps(rng, success, rows):
-    """`gaps(size)`: float Geometric(success) gaps, ⌈E / -log1p(-success)⌉ of an exponential E, at least 1, in one reused array of `rows`."""
+@functools.lru_cache(maxsize=32)  # per process; the law is read-only
+def _detection_law(z1, z0, log_a, log_b, limit, m_c, success):
+    """The exact law of one run of the truncated test, from report 0: `_walk`'s (first, k, p, resume)."""
     import numpy as np
-    rate = max(-math.log1p(-success), 1e-300)  # a subnormal divisor (p below ~2.2e-308) overflows the quotient
-    out = np.empty(rows)
-
-    def gaps(size):
-        gap = rng.standard_exponential(out=out[:size])
-        return np.maximum(np.ceil(np.divide(gap, rate, out=gap), out=gap), 1.0, out=gap)
-
-    return gaps
+    return _walk(_verdict_table(z1, z0, log_a, log_b, limit), z0 <= 0.0, limit, success, 0, 0, np.ones(1))
 
 
-def _detection_chunk(z1, z0, log_a, log_b, limit, m_c, trials, seed, success, k):
-    """Run chunk k of `trials` tests, drawing from `rng_stream(seed, 0x5D, k)` once per round for the runs still undecided.
+def _walk(table, attack_below, limit, success, m, a, mass):
+    """Walk the count lattice from report m, where mass[i] is undecided with a + i ones, one report at a time.
 
-    Gaps to the next one-report come from `_exponential_gaps`, as floats
-    (exact below 2**53; a time past `limit` is never cast); reports past
-    `limit` are inert. In round j every undecided run holds d = j - 1 ones,
-    and its zeros carry it to `table(d)`'s hi. A run whose next one-report
-    comes later stops there, or at m_c if hi is past `limit`; the others are
-    classified at their one-report by `table(d + 1)`. Returns (below, above,
-    ua, un, stop_sum, stop_max): verdicts at a threshold below lo and from
-    hi on, attack and null verdicts at truncation, and the sum and maximum
-    of the stop indices.
+    Each report is one numpy shift-and-add of the undecided band: a one moves mass from d to
+    d + 1 with probability `success`. The LLR is monotone in d, so the states that leave the band
+    at report m are an end run on each side, trimmed by `table` with their verdicts (below lo:
+    attack iff `attack_below`). The walk ends at report `limit`, where the rest is truncated, when
+    no mass is left, or once the undecided mass is below EPSILON. Returns (first, k, p, resume): p
+    holds the threshold-attack masses at stop indices first..first+k-1, the threshold-null masses
+    at the same stops, then the truncated attack and null masses and, if the walk stopped below
+    EPSILON, that undecided mass last; `resume()` walks on from its state, scaled to 1 (else None).
     """
     import numpy as np
-    rows = min(ROW_CHUNK, trials - k * ROW_CHUNK)
-    table, gaps = _verdict_table(z1, z0, log_a, log_b, limit), _exponential_gaps(rng_stream(seed, 0x5D, k), success, rows)
-    below = above = ua = un = stop_sum = stop_max = 0
-    last = np.zeros(rows)  # latest one-report of each undecided run, in run order
-    d = 0  # one-reports so far, the same for every undecided run
-    while last.size:
-        _, hi, forced = table(d)
-        t = gaps(last.size)
-        t += last
-        t = t[t <= min(hi, limit)]  # runs whose next one-report comes before they leave
-        gone = last.size - t.size
-        if gone and hi <= limit:
-            above, stop_sum, stop_max = above + gone, stop_sum + gone * hi, max(stop_max, hi)
-        elif gone:  # forced decision: attack iff the LLR is positive
-            ua, un = (ua + gone, un) if forced else (ua, un + gone)
-            stop_sum, stop_max = stop_sum + gone * m_c, m_c
-        d += 1
-        lo, hi, _ = table(d)
-        live = (lo <= t) & (t < hi)
-        stops, last = t[~live].astype(np.int64), t[live]
-        from_hi = int(np.count_nonzero(stops >= hi))
-        below, above = below + stops.size - from_hi, above + from_hi
-        stop_sum, stop_max = stop_sum + int(stops.sum()), max(stop_max, int(stops.max(initial=0)))
-    return below, above, ua, un, stop_sum, stop_max
+    first, keep = m + 1, 1.0 - success
+    buf = np.zeros(mass.size + 64)
+    i, j = 0, mass.size  # buf[i:j] is the band, a + (0, 1, ...) ones; buf[j:] is zero
+    buf[:j] = mass
+    attack, null = [], []
+    while True:
+        m += 1
+        if j + 1 == buf.size:  # the band reached the end of the buffer: copy it to the front of a new one
+            buf, i, j = np.concatenate((buf[i:j], np.zeros(j - i + 64))), 0, j - i
+        band = buf[i:j]
+        ones = band * success
+        band *= keep
+        buf[i + 1 : j + 1] += ones
+        j += 1
+        gone = [0.0, 0.0]  # null, attack
+        while i < j:  # the ones' end
+            lo, hi, _ = table(a + j - 1 - i)
+            if lo <= m < hi:
+                break
+            j -= 1
+            gone[(m < lo) == attack_below] += buf[j]
+            buf[j] = 0.0
+        while i < j:  # the zeros' end
+            lo, hi, _ = table(a)
+            if lo <= m < hi:
+                break
+            gone[(m < lo) == attack_below] += buf[i]
+            i, a = i + 1, a + 1
+        null.append(gone[0])
+        attack.append(gone[1])
+        if m == limit or i == j:
+            break
+        left = buf[i:j].sum()
+        if left < EPSILON:
+            rest = functools.partial(_walk, table, attack_below, limit, success, m, a, buf[i:j] / left)
+            return first, len(attack), np.array([*attack, *null, 0.0, 0.0, left]), rest
+    forced = [0.0, 0.0]  # null, attack at m_c
+    for d in range(a, a + j - i):
+        forced[table(d)[2]] += buf[i + d - a]
+    return first, len(attack), np.array([*attack, *null, forced[1], forced[0]]), None
 
 
 def simulate_detection(
@@ -473,22 +483,25 @@ def simulate_detection(
     seed: int,
     truth: str = H1,
 ) -> DetectionSummary:
-    """Monte-Carlo runs of the truncated sequential test.
+    """Summary of `trials` independent runs of the truncated sequential test.
 
     Reports are Bernoulli(a_i * p_d) under H1 and Bernoulli(p_f) under
     H0; each run steps until a threshold crossing or the forced decision
-    at m_c. Deterministic given (seed, parameters).
+    at m_c. The summary is a function of how many runs land on each atom
+    (verdict, stop index), and those counts are multinomial in the atoms'
+    exact probabilities, so it is drawn from them in one call.
+    Deterministic given (seed, parameters).
 
-    Stream contract: trials form chunks of ROW_CHUNK runs, chunk k drawing from
-    `rng_stream(seed, 0x5D, k)`. A run is given by the times of its one-reports among
-    the informative reports, 1..min(stop, m_c) of the first report segment. Round j
-    draws `standard_exponential(size)` once for the undecided runs, in run order, and
-    the gap to each one's j-th one-report is ⌈E / max(−log1p(−p), 1e-300)⌉, at least 1:
-    numpy's p < 1/3 geometric method, used for every p. States are classified by `_verdict_table`,
-    the count-form rule as integers; an inert first segment draws nothing. Chunks fix
-    the stream and bound memory. They are the tasks of `_ordered_map`, so they may run on
-    pinned forked workers, and their integer counts are summed in chunk order, so the
-    summary is the same on any machine and any CPU count.
+    Stream contract: `_detection_law` walks the count lattice of the first
+    report segment (reports 1..min(stop, m_c); later ones are inert) to its
+    atoms, classified by `_verdict_table`, the count-form rule as integers.
+    `rng_stream(seed, 0x5D).multinomial(trials, p)` then draws the counts of
+    the atoms in this order: threshold attack at stop indices 1, 2, ..., k,
+    threshold null at the same stops, truncated attack, truncated null, and,
+    if the walk stopped with less than EPSILON undecided, that remainder.
+    Runs on the remainder resume the walk from its saved state, and the same
+    generator draws their counts over the resumed atoms, in the same order,
+    until no run is left undecided; so the law is never truncated.
     """
     trials = _count(trials, "trials")
     m_c = _count(m_c, "report budget m_c")
@@ -496,18 +509,26 @@ def simulate_detection(
     if truth not in (H0, H1):
         raise ConfigError("truth must be 'h0' or 'h1'")
     _, stop, p1, z1, z0 = report_segments(plan, detector)[0]
-    success = p1 if truth == H1 else detector.p_f
-    limit = min(stop, m_c)
     if z1 == 0.0 and z0 == 0.0:  # inert stream: the LLR stays 0, so every run is truncated to null
         return DetectionSummary(trials, float(m_c), m_c, 0, 0, 0, trials)
-    chunk = functools.partial(_detection_chunk, z1, z0, risk.log_a, risk.log_b, limit, m_c, trials, seed, success)
-    results = list(_ordered_map(chunk, range(-(-trials // ROW_CHUNK)), ROW_CHUNK))
-    below, above, ua, un, stop_sum = (sum(result[i] for result in results) for i in range(5))
-    ta, tn = (below, above) if z0 <= 0.0 else (above, below)
+    import numpy as np
+    success = p1 if truth == H1 else detector.p_f
+    law = _detection_law(z1, z0, risk.log_a, risk.log_b, min(stop, m_c), m_c, success)
+    rng, runs = rng_stream(seed, 0x5D), trials
+    ta = tn = ua = un = stop_sum = stop_max = 0
+    while runs:
+        first, k, p, resume = law
+        counts = rng.multinomial(runs, p).tolist()
+        hits = np.add(counts[:k], counts[k : 2 * k])
+        ta, tn, ua, un = ta + sum(counts[:k]), tn + sum(counts[k : 2 * k]), ua + counts[2 * k], un + counts[2 * k + 1]
+        stop_sum += int(hits @ np.arange(first, first + k)) + (counts[2 * k] + counts[2 * k + 1]) * m_c
+        stop_max = max(stop_max, first + int(np.flatnonzero(hits)[-1]) if hits.any() else 0)
+        runs = counts[-1] if resume else 0
+        law = resume() if runs else None
     return DetectionSummary(
         trials=trials,
         mean_stop_index=stop_sum / trials,
-        max_stop_index=max(result[5] for result in results),
+        max_stop_index=m_c if ua + un else stop_max,
         threshold_attack=ta,
         threshold_null=tn,
         truncated_attack=ua,

@@ -32,12 +32,14 @@ from seqdef import (
     moments,
     qc_intentional,
     qc_random,
+    report_segments,
     simulate_attack,
     simulate_detection,
     worst_case_bounds,
 )
 from seqdef.experiments_cli import run
 from seqdef.robust_design import baseline_check, information_rate, required_rate
+from seqdef.sprt_engine import _detection_law
 
 RISK = RiskBudget(0.01, 0.001)
 GOLDEN_CUTOFF = (3 + math.sqrt(5)) ** 2 / 4
@@ -164,7 +166,10 @@ def test_c06_h1_mean_stop_vs_formula():
       formula <= E[stop] <= formula + z1 / E[z|H1]. By Wald's identity
       E[Lambda_N] = E[N] * E[z|H1], and an upper crossing overshoots
       log A by less than z1. With the oracle's upper-crossing probability
-      0.99910 the exact bracket is [16.607, 26.389], inside this one.
+      0.99910 the exact bracket is [16.607, 26.389], inside this one;
+    * the library's exact law (`_detection_law`, which `simulate_detection`
+      draws from) gives the oracle's mean within 1e-9, and the overshoot
+      gap to the formula is reported as a number.
     """
     det = DetectorProfile(0.5, 0.01)
     plan = AttackPlan("random", 0.3, 10**4)
@@ -182,6 +187,13 @@ def test_c06_h1_mean_stop_vs_formula():
     upper = formula + z1 / (p1 * z1 + (1 - p1) * z0)
     ok = formula <= exact.mean <= upper
     assert report("c06 h1 overshoot bracket", ok, f"formula={formula:.3f} exact={exact.mean:.3f} upper={upper:.3f}")
+
+    _, stop, _, z1, z0 = report_segments(plan, det)[0]
+    first, k, p, _ = _detection_law(z1, z0, RISK.log_a, RISK.log_b, min(stop, 10**4), 10**4, p1)
+    law_mean = (p[:k] + p[k : 2 * k]) @ np.arange(first, first + k) + (p[2 * k] + p[2 * k + 1]) * 10**4
+    ok = abs(law_mean - exact.mean) <= 1e-9
+    detail = f"law={law_mean:.6f} exact={exact.mean:.6f} formula={formula:.3f} gap={law_mean / formula - 1:+.1%}"
+    assert report("c06 h1 exact law and overshoot gap", ok, detail)
 
 
 def test_c07_intentional_truncation_identity():

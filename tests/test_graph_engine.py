@@ -21,9 +21,7 @@ from seqdef import (
     AttackPlan,
     ConfigError,
     DegreeModel,
-    DetectorProfile,
     NetworkGraph,
-    RiskBudget,
     average_random_attack,
     betweenness,
     estimate_qc,
@@ -35,7 +33,6 @@ from seqdef import (
     removal_order,
     sample_degree_sequence,
     simulate_attack,
-    simulate_detection,
 )
 from seqdef import _rand
 from seqdef._rand import GROUP_STATES
@@ -547,19 +544,17 @@ def test_random_curve_is_the_trial_order_sum():
 
 
 def test_cpus_and_group_states_change_no_output(monkeypatch, cpus):
-    # the parent folds one result per lane block, trial or detection chunk in task order, so the CPU
+    # the parent folds one result per lane block or trial in task order, so the CPU
     # count and GROUP_STATES only schedule: a map forked on 2 or 3 CPUs, whether every map forks
     # (GROUP_STATES = 1), the default or none does (2**40), gives the bits of the inline run
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
     assert forks(*lane_blocks(nx.k_core(to_networkx(g), 2)))
-    detect = (AttackPlan("random", 0.3, 10**4), DetectorProfile(0.5, 0.01), RiskBudget(0.01, 0.001), 60, 20000, 3)
     runs = set()
     for states, count in itertools.product((1, GROUP_STATES, 2**40), (1, 2, 3)):
         monkeypatch.setattr(_rand, "GROUP_STATES", states)
         cpus(count)
         curve = average_random_attack(g, 0.5, 5, 40, seed=0)
-        summary = simulate_detection(*detect)
-        runs.add((betweenness(g).tobytes(), curve.lcc_by_removed.tobytes(), curve.remaining_tau.tobytes(), repr(summary)))
+        runs.add((betweenness(g).tobytes(), curve.lcc_by_removed.tobytes(), curve.remaining_tau.tobytes()))
     assert len(runs) == 1
 
 
@@ -572,8 +567,7 @@ def test_only_ordered_map_reads_group_states():
 def test_import_leaves_scipy_out():
     # the package's runtime dependency is numpy alone; scipy is a test-only dependency. The
     # forked map uses os.fork and pipes, so that neither importing `graph_engine` nor a forked
-    # betweenness or detection run loads concurrent.futures, the logging it pulls in, or
-    # multiprocessing
+    # betweenness run loads concurrent.futures, the logging it pulls in, or multiprocessing
     src = Path(seqdef.__file__).resolve().parents[1]
     modules = ("scipy", "concurrent.futures", "logging", "multiprocessing")
     code = (
@@ -581,7 +575,6 @@ def test_import_leaves_scipy_out():
         f"assert not any(m in sys.modules for m in {modules})\n"
         "from seqdef import *\n"
         "betweenness(generate(DegreeModel.er(2.67, n=900), 900, seed=4))\n"
-        "simulate_detection(AttackPlan('random', 0.3, 50), DetectorProfile(0.5, 0.01), RiskBudget(0.01, 0.001), 50, 300000, 7)\n"
         f"sys.exit(any(m in sys.modules for m in {modules}))"
     )
     assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}).returncode == 0

@@ -36,11 +36,27 @@ from seqdef import (
     worst_case_bounds,
 )
 
-from oracles import exact_truncated_test
-from seqdef._rand import GROUP_STATES, rng_stream
-from seqdef.sprt_engine import ROW_CHUNK, _count_llr, _exponential_gaps, _llr_pair, _verdict_table
+from oracles import TruncatedOutcome, exact_truncated_test
+from seqdef import sprt_engine
+from seqdef.sprt_engine import _count_llr, _detection_law, _llr_pair, _verdict_table
 
 RISK = RiskBudget(0.01, 0.001)
+
+
+def law_outcome(plan, detector, risk, m_c, truth):
+    """`_detection_law`'s outcome probabilities and stop moments, as an `exact_truncated_test` outcome."""
+    _, stop, p1, z1, z0 = report_segments(plan, detector)[0]
+    success = p1 if truth == "h1" else detector.p_f
+    first, k, p, _ = _detection_law(z1, z0, risk.log_a, risk.log_b, min(stop, m_c), m_c, success)
+    stops = np.arange(first, first + k)
+    decided, forced = p[:k] + p[k : 2 * k], p[2 * k] + p[2 * k + 1]
+    moments = (decided @ stops + forced * m_c, decided @ stops**2 + forced * m_c**2)
+    return TruncatedOutcome(p[:k].sum(), p[k : 2 * k].sum(), p[2 * k], p[2 * k + 1], *moments)
+
+
+def oracle_outcome(plan, detector, risk, m_c, truth):
+    _, stop, p1, _, _ = report_segments(plan, detector)[0]
+    return exact_truncated_test(p1 if truth == "h1" else detector.p_f, p1, detector.p_f, risk, m_c, stop)
 
 
 class TestTypes:
@@ -276,7 +292,7 @@ class TestCountFormAgreement:
                 break
 
 
-class TestSuccessTimeKernel:
+class TestCountLattice:
     @settings(max_examples=400, deadline=None)
     @given(
         scheme=st.sampled_from(["random", "intentional"]),
@@ -286,20 +302,18 @@ class TestSuccessTimeKernel:
         delta=st.floats(1e-4, 0.45),
         theta=st.floats(1e-4, 0.45),
         m_c=st.integers(1, 150),
-        truth=st.sampled_from(["h0", "h1"]),
-        gaps=st.lists(st.integers(1, 40), max_size=12),
     )
     # float ties: at d = 1 the zeros bring the LLR exactly onto log B at m = 3; the LLR at m_c is exactly 0
-    @example("random", 1.0, 10, (0.375, 0.75), 0.375, 0.2, 20, "h1", [2])
-    @example("random", 1.0, 10, (0.25, 0.75), 0.01, 0.01, 2, "h1", [1])
-    def test_kernel_matches_count_form_and_step_property(self, scheme, q, n, probs, delta, theta, m_c, truth, gaps):
-        # both LLR signs (q * p_d above and below p_f), targeted budgets inside and past M
+    @example("random", 1.0, 10, (0.375, 0.75), 0.375, 0.2, 20)
+    @example("random", 1.0, 10, (0.25, 0.75), 0.01, 0.01, 2)
+    def test_verdict_table_matches_count_form_property(self, scheme, q, n, probs, delta, theta, m_c):
+        # the table against the count-form rule at every lattice point d <= m <= limit: both LLR
+        # signs (q * p_d above and below p_f), targeted budgets inside and past M
         plan = AttackPlan(scheme, q, n)
         det = DetectorProfile(probs[1], probs[0])
         risk = RiskBudget(delta, theta)
-        _, stop, p1, z1, z0 = report_segments(plan, det)[0]
+        _, stop, _, z1, z0 = report_segments(plan, det)[0]
         limit = min(stop, m_c)
-        # the table against the count-form rule at every lattice point d <= m <= limit
         table = _verdict_table(z1, z0, risk.log_a, risk.log_b, limit)
         below, above = ("accept_attack", "accept_null") if z0 <= 0.0 else ("accept_null", "accept_attack")
         for d in range(min(limit, 40) + 1):
@@ -307,29 +321,6 @@ class TestSuccessTimeKernel:
             for m in range(max(d, 1), limit + 1):
                 verdict = below if m < lo else above if m >= hi else "continue"
                 assert decision_by_counts(d, m, plan, det, risk) == verdict, (d, m)
-        # one run from scripted gaps, against the stepwise test on the same reports
-        success = p1 if truth == "h1" else det.p_f
-        script = iter(gaps)
-
-        def scripted(rng, p, rows):
-            assert p == success
-            return lambda size: np.array([float(next(script, 2**40))])
-
-        with mock.patch("seqdef.sprt_engine._exponential_gaps", scripted):
-            summary = simulate_detection(plan, det, risk, m_c, 1, seed=0, truth=truth)
-        ones = set(np.cumsum(gaps).tolist())
-        trace = SprtTrace()
-        for m in range(1, m_c + 1):
-            step(trace, m in ones, plan, det, risk)
-            d_m = sum(trace.reports[: plan.m]) if plan.targeted else trace.d_count
-            assert decision_by_counts(d_m, m, plan, det, risk) == trace.state
-            if trace.state != "continue":
-                break
-        forced = trace.state == "continue"
-        verdict = truncate(trace, m_c) if forced else trace.state
-        counts = [0, 0, 0, 0]
-        counts[2 * forced + (verdict == "accept_null")] = 1
-        assert summary == DetectionSummary(1, trace.stop_index, trace.stop_index, *counts)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -345,51 +336,90 @@ class TestSuccessTimeKernel:
             first, second = _count_llr(d, a, z1, z0), _count_llr(d, b, z1, z0)
             assert first <= second if z0 > 0.0 else first >= second
 
-    def test_count_llr_called_only_by_the_rule_and_its_table(self):
-        # one count-form rule: `decision_by_counts` states it and `_verdict_table` tabulates it;
-        # any other reader of `_count_llr` would be a third copy to keep in step
-        readers = set()
-        for path in sorted(Path(seqdef.__file__).parent.glob("*.py")):
-            for top in ast.parse(path.read_text()).body:
-                for node in ast.walk(top):
-                    if (isinstance(node, ast.Name) and node.id == "_count_llr") or (
-                        isinstance(node, ast.alias) and node.name == "_count_llr"
-                    ):
-                        readers.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
-        assert readers == {"sprt_engine.py:decision_by_counts", "sprt_engine.py:_verdict_table"}
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scheme=st.sampled_from(["random", "intentional"]),
+        q=st.floats(1e-3, 1.0),
+        n=st.integers(1, 120),
+        probs=st.tuples(st.floats(1e-4, 0.999), st.floats(1e-4, 0.999)).map(sorted),
+        delta=st.floats(1e-4, 0.45),
+        theta=st.floats(1e-4, 0.45),
+        m_c=st.integers(1, 150),
+        truth=st.sampled_from(["h0", "h1"]),
+    )
+    @example("random", 1.0, 10, (0.375, 0.75), 0.375, 0.2, 20, "h1")
+    @example("random", 1.0, 10, (0.25, 0.75), 0.01, 0.01, 2, "h1")
+    @example("random", 0.01, 10**4, (0.02, 0.5), 0.01, 0.001, 150, "h0")  # q * p_d < p_f: the zeros drift up
+    def test_law_matches_exact_oracle_property(self, scheme, q, n, probs, delta, theta, m_c, truth):
+        # random and targeted plans, budgets that end inside and past the attacked set, both LLR signs
+        plan, det, risk = AttackPlan(scheme, q, n), DetectorProfile(probs[1], probs[0]), RiskBudget(delta, theta)
+        law, exact = law_outcome(plan, det, risk, m_c, truth), oracle_outcome(plan, det, risk, m_c, truth)
+        assert law[:4] == pytest.approx(exact[:4], abs=1e-12, rel=0)
+        assert law.mean == pytest.approx(exact.mean, abs=1e-12, rel=0)
 
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        scheme=st.sampled_from(["random", "intentional"]),
+        q=st.floats(0.05, 1.0),
+        n=st.integers(1, 60),
+        probs=st.tuples(st.floats(0.01, 0.9), st.floats(0.01, 0.9)).map(sorted),
+        m_c=st.integers(1, 40),
+        truth=st.sampled_from(["h0", "h1"]),
+    )
+    def test_stepwise_sampler_matches_law_property(self, scheme, q, n, probs, m_c, truth):
+        # 300 tests run through `step` and `truncate`, one Bernoulli report at a time, independent of the
+        # lattice: their attack frequency and mean stop index lie within 3 SE of the law's
+        plan, det = AttackPlan(scheme, q, n), DetectorProfile(probs[1], probs[0])
+        _, stop, p1, _, _ = report_segments(plan, det)[0]
+        rng, runs = np.random.default_rng(2026), 300
+        attack, stops = 0, []
+        for _ in range(runs):
+            trace = SprtTrace()
+            while trace.state == "continue" and len(trace.reports) < m_c:
+                informative = len(trace.reports) < stop
+                step(trace, int(rng.random() < (p1 if truth == "h1" and informative else det.p_f)), plan, det, RISK)
+            verdict = truncate(trace, m_c) if trace.state == "continue" else trace.state
+            attack += verdict == "accept_attack"
+            stops.append(trace.stop_index)
+        law = law_outcome(plan, det, RISK, m_c, truth)
+        p = law.attack
+        assert abs(attack / runs - p) <= 3 * math.sqrt(p * (1 - p) / runs)
+        spread = math.sqrt(max(law.second_moment - law.mean**2, 0.0) / runs)
+        assert abs(sum(stops) / runs - law.mean) <= 3 * spread + 1e-9
 
-class TestExponentialGaps:
-    @pytest.mark.parametrize("p", [1e-12, 1e-6, 1e-3, 0.05, 0.15, 0.3, 0.33])
-    def test_equal_to_numpy_geometric_below_one_third(self, p):
-        # numpy draws geometric variates by this inversion below p = 1/3: same gaps, same next draw
-        for seed in range(10):
-            ours, numpys = rng_stream(seed, 0x5D, 0), rng_stream(seed, 0x5D, 0)
-            assert np.array_equal(_exponential_gaps(ours, p, 4096)(4096), numpys.geometric(p, 4096))
-            assert ours.random() == numpys.random()
+    def test_remainder_resumes_the_walk(self, monkeypatch):
+        # with EPSILON at 1e-3 about 20 of 20,000 runs land on the remainder of each walk; they resume it
+        # from its saved state, and the summary keeps the exact law and repeats for its seed
+        walks = []
 
-    @pytest.mark.parametrize("p", [0.5, 0.9])
-    def test_law_at_and_above_one_third(self, p):
-        # numpy searches here instead; the gaps must still be Geometric(p): each of 1..5 within 4 SE
-        n = 10**5
-        gaps = _exponential_gaps(rng_stream(3, 0x5D, 0), p, n)(n)
-        assert gaps.min() >= 1.0 and np.array_equal(gaps, np.floor(gaps))
-        for k in range(1, 6):
-            exact = (1 - p) ** (k - 1) * p
-            assert abs(np.count_nonzero(gaps == k) / n - exact) <= 4 * math.sqrt(exact * (1 - exact) / n), k
+        def counted(*args):
+            walks.append(args[4])  # the report the walk starts from
+            return walk(*args)
 
-    def test_zero_exponential_gives_gap_one(self):
-        # standard_exponential returns exactly 0 with probability about 2**-53 a draw, and ceil(0) is 0
-        zeros = SimpleNamespace(standard_exponential=lambda out: np.multiply(out, 0.0, out=out))
-        for p in (1e-300, 0.2, 0.5, 0.9):
-            assert _exponential_gaps(zeros, p, 3)(3).tolist() == [1.0, 1.0, 1.0]
+        walk = sprt_engine._walk
+        monkeypatch.setattr(sprt_engine, "EPSILON", 1e-3)
+        monkeypatch.setattr(sprt_engine, "_walk", counted)
+        _detection_law.cache_clear()
+        try:
+            plan, det, trials = AttackPlan("random", 0.3, 10**4), DetectorProfile(0.5, 0.01), 20000
+            summary = simulate_detection(plan, det, RISK, 10**4, trials, seed=19)
+            first = list(walks)
+            assert simulate_detection(plan, det, RISK, 10**4, trials, seed=19) == summary
+        finally:
+            _detection_law.cache_clear()
+        # the law's walk from report 0, then one resumed walk per remainder that runs landed on, each deeper
+        assert len(first) >= 2 and first[0] == 0 and first == sorted(set(first)) and walks == first + first[1:]
+        exact = oracle_outcome(plan, det, RISK, 10**4, "h1")
+        p = exact.attack
+        assert abs(summary.attack_frequency - p) <= 3 * math.sqrt(p * (1 - p) / trials)
+        spread = math.sqrt((exact.second_moment - exact.mean**2) / trials)
+        assert abs(summary.mean_stop_index - exact.mean) <= 3 * spread
 
     @pytest.mark.parametrize("p", [1e-18, 1e-300, 1e-310, 5e-324])
     def test_vanishing_success_probability(self, p):
-        # gaps around int64's limit (p = 1e-18) or near 1e300 (p = 1e-300) are compared as floats, never
-        # cast, and raise no warning (warnings are errors here); no run sees a one-report, so each takes
-        # the all-zeros path. At a subnormal p (1e-310, 5e-324) the gap divisor is held at 1e-300, which
-        # keeps the quotient finite, and p_d / p_f overflows, so z1 is taken as a difference of logs
+        # the ones carry a mass of p or less, down to subnormal, and raise no warning (warnings are errors
+        # here); no run sees a one-report, so each takes the all-zeros path. At a subnormal p (1e-310,
+        # 5e-324) p_d / p_f overflows, so z1 is taken as a difference of logs
         for plan, det, truth in (
             (AttackPlan("random", 0.3, 100), DetectorProfile(0.5, p), "h0"),  # zeros drift down to log B
             (AttackPlan("random", 2 * p, 100), DetectorProfile(0.5, 0.01), "h1"),  # zeros drift up to log A
@@ -404,6 +434,20 @@ class TestExponentialGaps:
                 counts[2 * forced + (verdict == "accept_null")] = 3000
                 expected = DetectionSummary(3000, trace.stop_index, trace.stop_index, *counts)
                 assert simulate_detection(plan, det, RISK, m_c, 3000, seed=1, truth=truth) == expected
+
+
+    def test_count_llr_called_only_by_the_rule_and_its_table(self):
+        # one count-form rule: `decision_by_counts` states it and `_verdict_table` tabulates it;
+        # any other reader of `_count_llr` would be a third copy to keep in step
+        readers = set()
+        for path in sorted(Path(seqdef.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Name) and node.id == "_count_llr") or (
+                        isinstance(node, ast.alias) and node.name == "_count_llr"
+                    ):
+                        readers.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+        assert readers == {"sprt_engine.py:decision_by_counts", "sprt_engine.py:_verdict_table"}
 
 
 class TestExpectedReports:
@@ -554,42 +598,41 @@ class TestSimulateDetection:
         assert sim.truncated_attack + sim.truncated_null > 0
         assert sim.trials == sim.threshold_attack + sim.threshold_null + sim.truncated_attack + sim.truncated_null
 
-    # Exact summaries: a change to the random stream, its chunk layout, the order of
-    # its draws, or the count-form classification fails here.
+    # Exact summaries: a change to the random stream, the order of the atoms in its draw,
+    # the lattice walk or the count-form classification fails here.
     # (plan, detector, m_c, trials, seed, truth) -> (mean stop, max stop, ta, tn, ua, un)
     PINNED = {
-        # three chunks of ROW_CHUNK runs, the last one partial
-        "three_chunks": (
-            (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 10**4, 2 * ROW_CHUNK + 808, 11, "h1"),
-            (20.38209632387157, 219, 17179, 13, 0, 0),
+        # c06's test: the walk stops below EPSILON, long before m_c
+        "long_h1": (
+            (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 10**4, 17_192, 11, "h1"),
+            (20.206549557933922, 166, 17176, 16, 0, 0),
         ),
         # weak reports: runs take many one-reports to decide, and some reach truncation at m_c
         "many_rounds_h1": (
             (AttackPlan("random", 0.05, 10**4), (0.5, 0.01), 1500, 3000, 12, "h1"),
-            (582.4316666666666, 1500, 2870, 1, 105, 24),
+            (595.379, 1500, 2842, 3, 117, 38),
         ),
         "many_rounds_h0": (
             (AttackPlan("random", 0.05, 10**4), (0.5, 0.01), 1500, 3000, 13, "h0"),
-            (1055.3923333333332, 1500, 18, 2457, 22, 503),
+            (1056.068, 1500, 19, 2419, 26, 536),
         ),
         # M = 37 < m_c = 60: reports past M are inert, and undecided runs are truncated at m_c
         "targeted_h1": (
             (AttackPlan("intentional", 0.0037, 10**4), (0.3, 0.1), 60, 5000, 14, "h1"),
-            (32.5328, 60, 3494, 1, 1284, 221),
+            (33.2016, 60, 3390, 0, 1351, 259),
         ),
         "targeted_h0": (
             (AttackPlan("intentional", 0.0037, 10**4), (0.3, 0.1), 60, 5000, 15, "h0"),
-            (55.7488, 60, 15, 716, 324, 3945),
+            (55.7478, 60, 21, 711, 319, 3949),
         ),
         "truncated_m3": (
             (AttackPlan("random", 0.9, 100), (0.3, 0.2), 3, 2000, 1, "h1"),
-            (3.0, 3, 0, 0, 1193, 807),
+            (3.0, 3, 0, 0, 1233, 767),
         ),
-        # the benchmark's short_h1 regime in 37 chunks, more than GROUP_STATES // ROW_CHUNK = 32,
-        # so that it forks on 2 CPUs; three_chunks runs inline
-        "forked_short_h1": (
+        # the benchmark's short_h1 regime: the walk reaches m_c, where the rest is truncated
+        "short_h1": (
             (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 50, 300_000, 7, "h1"),
-            (19.27384, 50, 281171, 192, 14698, 3939),
+            (19.21419, 50, 281429, 166, 14464, 3941),
         ),
     }
 
@@ -627,36 +670,13 @@ class TestSimulateDetection:
             assert abs(sim.mean_stop_index - exact.mean) <= 4 * math.sqrt(variance / trials) + 1e-9, (plan, truth)
 
     def test_budget_far_past_every_decision_changes_nothing(self):
-        # every three_chunks run decides by report 219, so a budget of 10**12 gives the same
-        # summary; the verdict table is sized by the one-report count, never by m_c
-        (plan, det, _, trials, seed, truth), _ = self.PINNED["three_chunks"]
+        # the long_h1 walk stops below EPSILON within 700 reports, so a budget of 10**12 gives the
+        # same law and summary; the verdict table is sized by the one-report count, never by m_c
+        (plan, det, _, trials, seed, truth), _ = self.PINNED["long_h1"]
         start = time.perf_counter()
         huge = simulate_detection(plan, DetectorProfile(*det), RISK, 10**12, trials, seed, truth=truth)
         assert time.perf_counter() - start < 1.0
-        assert huge == self._pinned("three_chunks")[0]
-
-    @pytest.mark.parametrize("name", ["three_chunks", "forked_short_h1"])
-    def test_summary_independent_of_cpu_count(self, name):
-        # one usable CPU and every usable CPU give the pinned summary, inline or from forked
-        # workers, and neither run starts a thread or process pool
-        (plan, det, m_c, trials, seed, truth), _ = self.PINNED[name]
-        assert (-(-trials // ROW_CHUNK) * ROW_CHUNK > GROUP_STATES) == (name == "forked_short_h1")
-        run = (
-            "import sys; "
-            "from seqdef import AttackPlan, DetectorProfile, RiskBudget, simulate_detection; "
-            f"print(repr(simulate_detection(AttackPlan({plan.scheme!r}, {plan.q!r}, {plan.n}), DetectorProfile{det!r}, "
-            f"RiskBudget(0.01, 0.001), {m_c}, {trials}, {seed}, truth={truth!r}))); "
-            "print('concurrent.futures' in sys.modules)"
-        )
-        one_cpu = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-        src = Path(seqdef.__file__).resolve().parents[1]
-        summary, expected = self._pinned(name)
-        assert repr(summary) == repr(expected)
-        for code in (one_cpu + run, run):
-            child = subprocess.run(
-                [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
-            )
-            assert child.stdout.splitlines() == [repr(expected), "False"]
+        assert huge == self._pinned("long_h1")[0]
 
     def test_validation(self):
         det = DetectorProfile(0.5, 0.01)
