@@ -13,7 +13,7 @@ tracer looks up `seqdef.graph_engine` in `sys.modules` for every workload.
 from .degree_models import DegreeModel, MomentSummary, giant_component_exists, moments, sample_degree_sequence, thin
 from .errors import ConfigError, InfeasibleError, NoRootError, NumericalError, SeqdefError, SubcriticalError
 from .percolation_analytic import CriticalValueReport, cutoff_degree, qc_intentional, qc_random
-from .robust_design import BaselineCheck, OperationPoint, baseline_check, feasible, min_detection, operation_curve
+from .robust_design import BaselineCheck, OperationPoint, baseline_check, feasible, min_detection
 from .sprt_engine import (
     AttackPlan,
     DetectionSummary,
@@ -86,7 +86,6 @@ __all__ = [
     "min_detection",
     "moments",
     "normal_cdf",
-    "operation_curve",
     "per_report_llr",
     "qc_intentional",
     "qc_random",

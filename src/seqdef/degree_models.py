@@ -35,7 +35,7 @@ class DegreeModel:
     """A degree distribution plus support bounds and network size.
 
     Instances are immutable; build them with the `er`, `power_law`,
-    `exponential`, `empirical`, or `empirical_from_file` constructors.
+    `exponential` or `empirical` constructors.
     """
 
     kind: str
@@ -94,10 +94,6 @@ class DegreeModel:
         hist = {_count(k, "histogram degree"): float(p) for k, p in histogram.items()}
         return cls(kind=EMPIRICAL, histogram=hist, k_min=min(hist, default=1), k_max=max(hist, default=1), n=n)
 
-    @classmethod
-    def empirical_from_file(cls, path, n=DEFAULT_N):
-        return cls.empirical(load_histogram(path), n=n)
-
 
 @dataclass(frozen=True)
 class MomentSummary:
@@ -106,28 +102,6 @@ class MomentSummary:
     mean_degree: float
     second_moment: float
     tau: float
-
-
-def load_histogram(path) -> dict[int, float]:
-    """Read a two-column "degree probability" text file ('#' comments)."""
-    hist: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'degree probability', got {raw.strip()!r}")
-            try:
-                k = int(parts[0])
-                p = float(parts[1])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            hist[k] = hist.get(k, 0.0) + p
-    if not hist:
-        raise ConfigError(f"{path}: empty histogram")
-    return hist
 
 
 def expm1_over(s: float, span: float, scale: float = 1.0) -> float:
@@ -214,20 +188,24 @@ def _continuous_inverse_cdf(model: DegreeModel, u: np.ndarray) -> np.ndarray:
     return a - beta * np.log1p(-u * (1.0 - math.exp(-(b - a) / beta)))
 
 
-def _resample_overflow(draw, size, k_max):
+def _resample_overflow(draw, size, model):
+    """`draw(size)`, its values above k_max redrawn for at most 1000 rounds, as the parity loop; then ConfigError."""
     import numpy as np
     draws = draw(size)
-    while True:
-        over = draws > k_max
+    for _ in range(1000):
+        over = draws > model.k_max
         if not over.any():
             return draws.astype(np.int64)
         draws[over] = draw(int(over.sum()))
+    raise ConfigError(
+        f"cannot draw degrees up to k_max = {model.k_max} in 1000 rounds from a model of mean degree {moments(model).mean_degree!r}"
+    )
 
 
 def _draw(model: DegreeModel, size: int, rng: np.random.Generator) -> np.ndarray:
     import numpy as np
     if model.kind == ER:
-        return _resample_overflow(lambda m: rng.poisson(model.k_hat, size=m), size, model.k_max)
+        return _resample_overflow(lambda m: rng.poisson(model.k_hat, size=m), size, model)
     if model.kind == EMPIRICAL:
         ks, ps = discrete_pmf(model)
         return rng.choice(ks, size=size, p=ps)
@@ -237,9 +215,7 @@ def _draw(model: DegreeModel, size: int, rng: np.random.Generator) -> np.ndarray
         # then gives variance beta^2
         r = model.beta / (model.beta - 1.0)
         p = 1.0 / model.beta
-        return _resample_overflow(
-            lambda m: model.k_min + rng.negative_binomial(r, p, size=m), size, model.k_max
-        )
+        return _resample_overflow(lambda m: model.k_min + rng.negative_binomial(r, p, size=m), size, model)
     # remaining continuous kinds: inverse-CDF draw, then mean-preserving
     # stochastic rounding (floor plus a Bernoulli on the fractional part)
     t = _continuous_inverse_cdf(model, rng.random(size))

@@ -92,7 +92,10 @@ def cutoff_degree(model: DegreeModel, q: float) -> float:
     """New maximum degree after removing the top q fraction of nodes.
 
     The tail is inverted at q + 1/n; `qc_intentional` says where its cutoff differs from this one.
-    ER and empirical tails interpolate the step of P(K >= k) - 1/n that crosses q, at every integer k.
+    Each kind inverts the tail that its `moments` integrate: the power law's density truncated to
+    [k_min, k_max], the exponential's untruncated on [k_min, inf), the Poisson's on 0, 1, ... and
+    the histogram's on its degrees. ER and empirical tails interpolate the step of P(K >= k) - 1/n
+    that crosses q, at every integer k.
     """
     if not 0.0 < q < 1.0:
         raise ConfigError("attacked fraction q must lie in (0, 1)")
@@ -100,7 +103,8 @@ def cutoff_degree(model: DegreeModel, q: float) -> float:
     if u >= 1.0:
         return float(model.k_min)
     if model.kind == POWER_LAW:
-        return model.k_min * u ** (1.0 / (1.0 - model.alpha))
+        s, a, b = 1.0 - model.alpha, float(model.k_min), float(model.k_max)
+        return (b**s + u * (a**s - b**s)) ** (1.0 / s)
     if model.kind == EXPONENTIAL:
         return -model.beta * math.log(u) + model.k_min
     if model.kind == ER:

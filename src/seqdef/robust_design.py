@@ -83,11 +83,6 @@ def min_detection(p_f: float, risk: RiskBudget, m_c: int) -> OperationPoint:
     return OperationPoint(p_f=p_f, p_d_min=p_d_min, m_c=int(m_c))  # whole: `required_rate` checked it
 
 
-def operation_curve(p_f_grid, risk: RiskBudget, m_c: int) -> list[OperationPoint]:
-    """min_detection swept over a p_f grid."""
-    return [min_detection(float(p_f), risk, m_c) for p_f in p_f_grid]
-
-
 def baseline_check(model: DegreeModel, detector: DetectorProfile, risk: RiskBudget) -> BaselineCheck:
     """Budget rule: m_c from the random-attack threshold must cover both schemes."""
     qc = qc_random(model).qc

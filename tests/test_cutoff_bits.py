@@ -61,15 +61,15 @@ BITS = {
         "0x1.0000000000000p+1", "0x1.dac16aa97d37ep-2", "0x1.0f7cde57ee4ecp+2", "0x1.a7b9611a7b961p-1",
     ),
     ("power_law", 2.1, 1, 100): (
-        "0x1.07263cef7d373p+6", "0x1.184a5583b4202p+5", "0x1.73334d17ceb99p+1", "0x1.16eac3ca12383p+0",
+        "0x1.f7a24e69d2cf5p+5", "0x1.122d0dde644b8p+5", "0x1.72d3088b4d4a0p+1", "0x1.16e78c239613cp+0",
         "0x1.0000000000000p+0", "0x1.81cd3dda8c09dp-5", "0x1.015700d100000p+4", "0x1.83d22913646afp-1",
     ),
     ("power_law", 2.5, 1, 100): (
-        "0x1.58afc3296e17bp+4", "0x1.b24e8baad9d28p+3", "0x1.1772e16208ea5p+1", "0x1.109cca42a7412p+0",
+        "0x1.57f81830a0a2dp+4", "0x1.b1dbd7465d335p+3", "0x1.176f8611343b6p+1", "0x1.109ca50279d0ep+0",
         "0x1.0000000000000p+0", "0x1.c8864680e6a3cp-5", "0x1.b6a99b4b00000p+2", "0x1.8722191a10dd9p-2",
     ),
     ("power_law", 3.2, 1, 100): (
-        "0x1.038cd14919c7fp+3", "0x1.7ad34c1091b90p+2", "0x1.b3f3d88bb627dp+0", "0x1.0b36846691018p+0",
+        "0x1.038c11099ba14p+3", "0x1.7ad2c12b4b3dcp+2", "0x1.b3f3d148f340bp+0", "0x1.0b368433f147cp+0",
         "0x1.0000000000000p+0", "0x1.f3e7f3c26a0e4p-7", "0x1.ac7093ae00000p+2", "0x1.a251d0b2d37f5p-4",
     ),
     ("empirical", "gaps", 1, 100): (
@@ -125,15 +125,15 @@ BITS = {
         "0x1.0000000000000p+1", "0x1.e4e4a46af70d1p-2", "0x1.0f7cde57b6219p+2", "0x1.a7b9611a7b961p-1",
     ),
     ("power_law", 2.1, 1, 10000): (
-        "0x1.0c1c7eb58485bp+12", "0x1.04cdad28c883fp+6", "0x1.7e50f27e5968fp+1", "0x1.19b45b8c29ba1p+0",
+        "0x1.a72ccacfacb78p+9", "0x1.f35b4c20fb584p+5", "0x1.7de90fc24f119p+1", "0x1.19b0b60208783p+0",
         "0x1.0000000000000p+0", "0x1.81cd3dda8c09dp-5", "0x1.015700d100000p+4", "0x1.83d22913646afp-1",
     ),
     ("power_law", 2.5, 1, 10000): (
-        "0x1.cd170d88f551bp+8", "0x1.566e333070132p+4", "0x1.1d8faf7200810p+1", "0x1.129b958c7b73ap+0",
+        "0x1.80873a115138dp+8", "0x1.55b9894558b3cp+4", "0x1.1d8c175a6ef57p+1", "0x1.129b6b7094162p+0",
         "0x1.0000000000000p+0", "0x1.c8864680e6a3cp-5", "0x1.b6a99b4b00000p+2", "0x1.8722191a10dd9p-2",
     ),
     ("power_law", 3.2, 1, 10000): (
-        "0x1.05fc555410f4fp+6", "0x1.0263fb181e8cep+3", "0x1.ba6e8a35c2074p+0", "0x1.0c8b7ddeaddcbp+0",
+        "0x1.05b0a8dbb8e8fp+6", "0x1.02633d9996f5fp+3", "0x1.ba6e827d2ec1dp+0", "0x1.0c8b7da595da8p+0",
         "0x1.0000000000000p+0", "0x1.f3e7f3c26a0e4p-7", "0x1.ac7093ae00000p+2", "0x1.a251d0b2d37f5p-4",
     ),
     ("empirical", "gaps", 1, 10000): (

@@ -1,12 +1,13 @@
 """Degree-model moments, thinning, discretization, and sampling."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
 
 from seqdef import ConfigError, DegreeModel, generate, giant_component_exists, moments, sample_degree_sequence, thin
-from seqdef.degree_models import discrete_pmf, load_histogram
+from seqdef.degree_models import discrete_pmf
 
 
 def numeric_power_law_moment(alpha, k_min, k_max, r, points=200001):
@@ -91,13 +92,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             build()
 
-    def test_histogram_file_round_trip(self, tmp_path):
-        path = tmp_path / "hist.txt"
-        path.write_text("# degree probability\n1 0.25\n2 0.5  # inline comment\n3 0.25\n")
-        model = DegreeModel.empirical_from_file(path)
-        assert model.histogram == {1: 0.25, 2: 0.5, 3: 0.25}
-        assert model.k_min == 1 and model.k_max == 3
-
     def test_empirical_models_hash_by_value(self):
         a = DegreeModel.empirical({1: 0.25, 2: 0.75})
         b = DegreeModel.empirical({2: 0.75, 1: 0.25})
@@ -105,12 +99,6 @@ class TestValidation:
         assert a == b and a != other
         assert hash(a) == hash(b)
         assert {a, b, other} == {a, other}
-
-    def test_histogram_file_rejects_bad_line(self, tmp_path):
-        path = tmp_path / "hist.txt"
-        path.write_text("1 0.5\nnot numbers\n")
-        with pytest.raises(ConfigError, match=":2"):
-            load_histogram(path)
 
 
 class TestGiantComponent:
@@ -248,6 +236,26 @@ class TestSampling:
         assert least <= seq.min() and seq.max() <= model.k_max
         assert np.array_equal(seq, sample_degree_sequence(model, 10**5, seed=5))
         assert abs(seq.mean() - mean) < 4 * seq.std() / math.sqrt(len(seq))
+
+    @pytest.mark.parametrize(
+        "model, mean",
+        [(DegreeModel.er(50, k_max=10, n=100), "50.0"), (DegreeModel.exponential(1e6, k_max=2, n=100), "1000001.0")],
+        ids=["er", "exponential-negative-binomial"],
+    )
+    def test_unreachable_k_max_raises_instead_of_hanging(self, model, mean):
+        # one redraw of ER(50) lands at or below 10 with probability 6.5e-12, and of this negative binomial
+        # at or below 2 with about 2e-6: an unbounded redraw loop never returned. The alarm fails a hang
+        def expire(signum, frame):
+            raise TimeoutError("the sampler hung")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ConfigError, match=f"k_max = {model.k_max} in 1000 rounds .* mean degree {mean}"):
+                sample_degree_sequence(model, 100, 0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_empirical_draws_only_histogram_degrees(self):
         seq = sample_degree_sequence(DegreeModel.empirical({2: 0.5, 4: 0.25, 7: 0.25}), 10**4, seed=6)

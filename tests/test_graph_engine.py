@@ -564,6 +564,14 @@ def test_only_ordered_map_reads_group_states():
     assert names_read("GROUP_STATES") == [("_rand.py", "_ordered_map")]
 
 
+def test_only_graph_tasks_use_the_map():
+    # Brandes lane blocks and random trials are the map's two kinds of task; detection draws its runs
+    # in one multinomial and imports no map
+    assert set(names_read("_ordered_map")) == {
+        ("graph_engine.py", None), ("graph_engine.py", "_brandes_batches"), ("graph_engine.py", "_removal_curve")
+    }
+
+
 def test_import_leaves_scipy_out():
     # the package's runtime dependency is numpy alone; scipy is a test-only dependency. The
     # forked map uses os.fork and pipes, so that neither importing `graph_engine` nor a forked

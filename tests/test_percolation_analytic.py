@@ -72,9 +72,15 @@ class TestRandomAttack:
 
 class TestCutoffDegree:
     def test_power_law_inverts_tail(self):
-        model = DegreeModel.power_law(2.5, n=10**12)
+        # the tail of the density truncated to [k_min, k_max], which `moments` integrates; with k_max far
+        # out it is the untruncated tail k**-1.5, whose inverse at GOLDEN_CUTOFF**-1.5 is GOLDEN_CUTOFF
         q = GOLDEN_CUTOFF ** (-1.5)
-        assert cutoff_degree(model, q) == pytest.approx(GOLDEN_CUTOFF, abs=1e-3)
+        assert cutoff_degree(DegreeModel.power_law(2.5, k_max=10**9, n=10**12), q) == pytest.approx(GOLDEN_CUTOFF, abs=1e-3)
+        model = DegreeModel.power_law(2.5, n=10**12)
+        cutoff, top = cutoff_degree(model, q), model.k_max**-1.5
+        assert 1 < cutoff < GOLDEN_CUTOFF
+        assert (cutoff**-1.5 - top) / (1 - top) == pytest.approx(q + 1e-12, rel=1e-12)
+        assert cutoff_degree(DegreeModel.power_law(2.1, n=10**4), 1e-6) == pytest.approx(846.35, abs=0.01)  # not 4289.8
 
     def test_exponential_log_inverse(self):
         model = DegreeModel.exponential(1.63, n=10**12)
@@ -175,12 +181,13 @@ class TestIntentionalAttack:
         assert rep.link_deletion_prob == pytest.approx(target, abs=1e-12)
 
     def test_power_law_cutoff_omits_the_1_over_n_term(self):
-        # only the power-law solve leaves 1/n out of qc, so only there does cutoff_degree(model, qc)
-        # differ from the report's cutoff; a rule that unifies the two must move these pins on purpose
+        # only the power-law solve leaves 1/n out of qc and the k_max truncation out of its cutoff, so
+        # only there does cutoff_degree(model, qc) differ from the report's cutoff; a rule that unifies
+        # the two must move these pins on purpose
         model = DegreeModel.power_law(2.5, n=10**4)
         rep = qc_intentional(model)
         assert rep.cutoff_degree == pytest.approx(6.854102, abs=1e-6)
-        assert cutoff_degree(model, rep.qc) == pytest.approx(6.845915, abs=1e-6)
+        assert cutoff_degree(model, rep.qc) == pytest.approx(6.843475, abs=1e-6)
         model = DegreeModel.exponential(1.63)
         rep = qc_intentional(model)
         assert rep.cutoff_degree == pytest.approx(3.144712, abs=1e-6)

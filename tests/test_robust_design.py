@@ -14,7 +14,6 @@ from seqdef import (
     baseline_check,
     feasible,
     min_detection,
-    operation_curve,
 )
 from seqdef.robust_design import information_rate, required_rate
 
@@ -78,12 +77,11 @@ class TestMinDetection:
 
 class TestOperationCurve:
     def test_curve_families_ordered(self):
-        pfs = np.geomspace(1e-4, 5e-3, 8)
-        lower = operation_curve(pfs, RISK, 10)
-        upper = operation_curve(pfs, RISK, 2)
-        for a, b in zip(lower, upper):
-            assert a.p_d_min <= b.p_d_min
-            assert a.m_c == 10 and b.m_c == 2
+        # a larger budget needs no stronger detector at any p_f: the m_c = 10 curve lies below m_c = 2
+        for p_f in np.geomspace(1e-4, 5e-3, 8):
+            lower, upper = min_detection(float(p_f), RISK, 10), min_detection(float(p_f), RISK, 2)
+            assert lower.p_d_min <= upper.p_d_min
+            assert lower.m_c == 10 and upper.m_c == 2
 
 
 class TestBaselineCheck:

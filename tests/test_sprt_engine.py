@@ -38,6 +38,7 @@ from seqdef import (
 
 from oracles import TruncatedOutcome, exact_truncated_test
 from seqdef import sprt_engine
+from seqdef._rand import rng_stream
 from seqdef.sprt_engine import _count_llr, _detection_law, _llr_pair, _verdict_table
 
 RISK = RiskBudget(0.01, 0.001)
@@ -387,6 +388,29 @@ class TestCountLattice:
         spread = math.sqrt(max(law.second_moment - law.mean**2, 0.0) / runs)
         assert abs(sum(stops) / runs - law.mean) <= 3 * spread + 1e-9
 
+    # the benchmark's four regimes and a near-inert stream (p_d = 0.05), whose band is wide and whose walk
+    # runs to m_c; the long walks stop below EPSILON with a remainder atom
+    REGIMES = {
+        "long_h1": (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 10**4, "h1"),
+        "long_h0": (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 10**4, "h0"),
+        "short_h1": (AttackPlan("random", 0.3, 10**4), (0.5, 0.01), 50, "h1"),
+        "targeted_h1": (AttackPlan("intentional", 0.002, 10**4), (0.5, 0.01), 200, "h1"),
+        "inert_h1": (AttackPlan("random", 0.3, 10**4), (0.05, 0.01), 10**4, "h1"),
+        "inert_h0": (AttackPlan("random", 0.3, 10**4), (0.05, 0.01), 10**4, "h0"),
+    }
+
+    @pytest.mark.parametrize("name", list(REGIMES))
+    def test_law_matches_exact_oracle_in_long_walks(self, name):
+        plan, det, m_c, truth = self.REGIMES[name]
+        det = DetectorProfile(*det)
+        law, exact = law_outcome(plan, det, RISK, m_c, truth), oracle_outcome(plan, det, RISK, m_c, truth)
+        assert law[:4] == pytest.approx(exact[:4], abs=1e-12, rel=0)
+        assert law.mean == pytest.approx(exact.mean, abs=1e-12 * max(1.0, exact.mean), rel=0)
+        _, stop, p1, z1, z0 = report_segments(plan, det)[0]
+        _, k, p, resume = _detection_law(z1, z0, RISK.log_a, RISK.log_b, min(stop, m_c), m_c, p1 if truth == "h1" else det.p_f)
+        assert (resume is not None) == name.startswith("long") and p.size == 2 * k + 2 + (resume is not None)
+        assert 0.0 <= p[-1] < sprt_engine.EPSILON if resume else k == min(stop, m_c)
+
     def test_remainder_resumes_the_walk(self, monkeypatch):
         # with EPSILON at 1e-3 about 20 of 20,000 runs land on the remainder of each walk; they resume it
         # from its saved state, and the summary keeps the exact law and repeats for its seed
@@ -677,6 +701,25 @@ class TestSimulateDetection:
         huge = simulate_detection(plan, DetectorProfile(*det), RISK, 10**12, trials, seed, truth=truth)
         assert time.perf_counter() - start < 1.0
         assert huge == self._pinned("long_h1")[0]
+
+    @pytest.mark.parametrize("name", ["long_h1", "targeted_h0", "truncated_m3"])
+    def test_stream_contract(self, name):
+        # one multinomial from rng_stream(seed, 0x5D) over the atoms in the documented order: threshold attack
+        # at stops first..first+k-1, threshold null at the same stops, truncated attack and null, remainder
+        (plan, det, m_c, trials, seed, truth), _ = self.PINNED[name]
+        detector = DetectorProfile(*det)
+        _, stop, p1, z1, z0 = report_segments(plan, detector)[0]
+        first, k, p, _ = _detection_law(
+            z1, z0, RISK.log_a, RISK.log_b, min(stop, m_c), m_c, p1 if truth == "h1" else detector.p_f
+        )
+        counts = rng_stream(seed, 0x5D).multinomial(trials, p).tolist()
+        assert sum(counts[2 * k + 2 :]) == 0  # no run on the remainder, so one draw decides every run
+        stops = [first + i for i in range(k) for _ in range(counts[i] + counts[k + i])]
+        stops += [m_c] * (counts[2 * k] + counts[2 * k + 1])
+        expected = DetectionSummary(
+            trials, sum(stops) / trials, max(stops), sum(counts[:k]), sum(counts[k : 2 * k]), *counts[2 * k : 2 * k + 2]
+        )
+        assert simulate_detection(plan, detector, RISK, m_c, trials, seed, truth=truth) == expected
 
     def test_validation(self):
         det = DetectorProfile(0.5, 0.01)
