@@ -413,7 +413,7 @@ def _verdict_table(z1, z0, log_a, log_b, limit):
 
 
 @functools.lru_cache(maxsize=32)  # per process; the law is read-only
-def _detection_law(z1, z0, log_a, log_b, limit, m_c, success):
+def _detection_law(z1, z0, log_a, log_b, limit, success):
     """The exact law of one run of the truncated test, from report 0: `_walk`'s (first, k, p, resume)."""
     import numpy as np
     return _walk(_verdict_table(z1, z0, log_a, log_b, limit), z0 <= 0.0, limit, success, 0, 0, np.ones(1))
@@ -513,7 +513,7 @@ def simulate_detection(
         return DetectionSummary(trials, float(m_c), m_c, 0, 0, 0, trials)
     import numpy as np
     success = p1 if truth == H1 else detector.p_f
-    law = _detection_law(z1, z0, risk.log_a, risk.log_b, min(stop, m_c), m_c, success)
+    law = _detection_law(z1, z0, risk.log_a, risk.log_b, min(stop, m_c), success)
     rng, runs = rng_stream(seed, 0x5D), trials
     ta = tn = ua = un = stop_sum = stop_max = 0
     while runs:

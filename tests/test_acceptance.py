@@ -189,7 +189,7 @@ def test_c06_h1_mean_stop_vs_formula():
     assert report("c06 h1 overshoot bracket", ok, f"formula={formula:.3f} exact={exact.mean:.3f} upper={upper:.3f}")
 
     _, stop, _, z1, z0 = report_segments(plan, det)[0]
-    first, k, p, _ = _detection_law(z1, z0, RISK.log_a, RISK.log_b, min(stop, 10**4), 10**4, p1)
+    first, k, p, _ = _detection_law(z1, z0, RISK.log_a, RISK.log_b, min(stop, 10**4), p1)
     law_mean = (p[:k] + p[k : 2 * k]) @ np.arange(first, first + k) + (p[2 * k] + p[2 * k + 1]) * 10**4
     ok = abs(law_mean - exact.mean) <= 1e-9
     detail = f"law={law_mean:.6f} exact={exact.mean:.6f} formula={formula:.3f} gap={law_mean / formula - 1:+.1%}"

@@ -75,7 +75,8 @@ class TestCutoffDegree:
         # the tail of the density truncated to [k_min, k_max], which `moments` integrates; with k_max far
         # out it is the untruncated tail k**-1.5, whose inverse at GOLDEN_CUTOFF**-1.5 is GOLDEN_CUTOFF
         q = GOLDEN_CUTOFF ** (-1.5)
-        assert cutoff_degree(DegreeModel.power_law(2.5, k_max=10**9, n=10**12), q) == pytest.approx(GOLDEN_CUTOFF, abs=1e-3)
+        far = DegreeModel.power_law(2.5, k_max=10**9, n=10**12)
+        assert cutoff_degree(far, q) == pytest.approx(GOLDEN_CUTOFF, abs=1e-3)
         model = DegreeModel.power_law(2.5, n=10**12)
         cutoff, top = cutoff_degree(model, q), model.k_max**-1.5
         assert 1 < cutoff < GOLDEN_CUTOFF

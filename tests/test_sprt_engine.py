@@ -48,7 +48,7 @@ def law_outcome(plan, detector, risk, m_c, truth):
     """`_detection_law`'s outcome probabilities and stop moments, as an `exact_truncated_test` outcome."""
     _, stop, p1, z1, z0 = report_segments(plan, detector)[0]
     success = p1 if truth == "h1" else detector.p_f
-    first, k, p, _ = _detection_law(z1, z0, risk.log_a, risk.log_b, min(stop, m_c), m_c, success)
+    first, k, p, _ = _detection_law(z1, z0, risk.log_a, risk.log_b, min(stop, m_c), success)
     stops = np.arange(first, first + k)
     decided, forced = p[:k] + p[k : 2 * k], p[2 * k] + p[2 * k + 1]
     moments = (decided @ stops + forced * m_c, decided @ stops**2 + forced * m_c**2)
@@ -407,7 +407,8 @@ class TestCountLattice:
         assert law[:4] == pytest.approx(exact[:4], abs=1e-12, rel=0)
         assert law.mean == pytest.approx(exact.mean, abs=1e-12 * max(1.0, exact.mean), rel=0)
         _, stop, p1, z1, z0 = report_segments(plan, det)[0]
-        _, k, p, resume = _detection_law(z1, z0, RISK.log_a, RISK.log_b, min(stop, m_c), m_c, p1 if truth == "h1" else det.p_f)
+        success = p1 if truth == "h1" else det.p_f
+        _, k, p, resume = _detection_law(z1, z0, RISK.log_a, RISK.log_b, min(stop, m_c), success)
         assert (resume is not None) == name.startswith("long") and p.size == 2 * k + 2 + (resume is not None)
         assert 0.0 <= p[-1] < sprt_engine.EPSILON if resume else k == min(stop, m_c)
 
@@ -709,9 +710,8 @@ class TestSimulateDetection:
         (plan, det, m_c, trials, seed, truth), _ = self.PINNED[name]
         detector = DetectorProfile(*det)
         _, stop, p1, z1, z0 = report_segments(plan, detector)[0]
-        first, k, p, _ = _detection_law(
-            z1, z0, RISK.log_a, RISK.log_b, min(stop, m_c), m_c, p1 if truth == "h1" else detector.p_f
-        )
+        success = p1 if truth == "h1" else detector.p_f
+        first, k, p, _ = _detection_law(z1, z0, RISK.log_a, RISK.log_b, min(stop, m_c), success)
         counts = rng_stream(seed, 0x5D).multinomial(trials, p).tolist()
         assert sum(counts[2 * k + 2 :]) == 0  # no run on the remainder, so one draw decides every run
         stops = [first + i for i in range(k) for _ in range(counts[i] + counts[k + i])]
