@@ -412,11 +412,13 @@ def _verdict_table(z1, z0, log_a, log_b, limit):
     return table
 
 
-@functools.lru_cache(maxsize=32)  # per process; the law is read-only
+@functools.lru_cache(maxsize=32)  # per process, and shared by every caller, so p is read-only
 def _detection_law(z1, z0, log_a, log_b, limit, success):
     """The exact law of one run of the truncated test, from report 0: `_walk`'s (first, k, p, resume)."""
     import numpy as np
-    return _walk(_verdict_table(z1, z0, log_a, log_b, limit), z0 <= 0.0, limit, success, 0, 0, np.ones(1))
+    law = _walk(_verdict_table(z1, z0, log_a, log_b, limit), z0 <= 0.0, limit, success, 0, 0, np.ones(1))
+    law[2].flags.writeable = False
+    return law
 
 
 def _walk(table, attack_below, limit, success, m, a, mass):
