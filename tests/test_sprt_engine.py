@@ -2,12 +2,8 @@
 
 import ast
 import math
-import subprocess
-import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -682,7 +678,7 @@ class TestSimulateDetection:
 
     def test_summaries_match_exact_oracle(self):
         # P(attack), P(truncated) and the mean stop within 4 SE of the exact truncated
-        # test; 27 two-sided comparisons, so a correct simulator fails with p < 0.002.
+        # test; 30 two-sided comparisons, so a correct simulator fails with p < 0.002.
         # The 1e-9 absorbs float noise where every run stops at m_c (zero variance).
         for plan, det, m_c, trials, seed, truth in self.ORACLE_GRID:
             detector = DetectorProfile(*det)
