@@ -1,6 +1,7 @@
 """Sequential test: likelihood ratios, decisions, report counts, bounds."""
 
 import ast
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -407,6 +408,27 @@ class TestCountLattice:
         _, k, p, resume = _detection_law(z1, z0, RISK.log_a, RISK.log_b, min(stop, m_c), success)
         assert (resume is not None) == name.startswith("long") and p.size == 2 * k + 2 + (resume is not None)
         assert 0.0 <= p[-1] < sprt_engine.EPSILON if resume else k == min(stop, m_c)
+
+    # (first, k, sha256 of p's little-endian float64 bytes) of the law in each regime, and of long_h1's
+    # resumed walk; any change to the walk's arithmetic or its verdicts moves a pin
+    LAW_PINS = {
+        "long_h1": (1, 654, "182dad9194fa5af698194fc39ab319c8bdea9fdeb406ce68c18ff4c82ec38dff"),
+        "long_h0": (1, 684, "5a7bf7253c7e570ce03e790e6340bee4c3ab19c44f71f3f1ae18c9d4ca16be17"),
+        "short_h1": (1, 50, "0f0eebebf3d986cfee808b39829bd6b1512a437211fff5be5b90ba40baab6b72"),
+        "targeted_h1": (1, 20, "7babb527ee5b5e06c5363e08ec21b7c877a6e8c02d8307733d6c2afe9e840005"),
+        "inert_h1": (1, 10000, "2c24311c9ac2a92ebf50b19b627ea926c720b9f919f42a2ba9e0c31d27facf2b"),
+        "inert_h0": (1, 10000, "1bb0339093a5f9d1d9cd586bfe1f6027d169b63a3e692efe3ccc64fb7dfcc9b4"),
+        "long_h1_resumed": (655, 647, "c36156640b5b3fa4462788bdddaa44cbc80ce5948797c3d25dc7110214fce119"),
+    }
+
+    @pytest.mark.parametrize("name", list(LAW_PINS))
+    def test_law_pinned(self, name):
+        plan, det, m_c, truth = self.REGIMES[name.removesuffix("_resumed")]
+        det = DetectorProfile(*det)
+        _, stop, p1, z1, z0 = report_segments(plan, det)[0]
+        law = _detection_law(z1, z0, RISK.log_a, RISK.log_b, min(stop, m_c), p1 if truth == "h1" else det.p_f)
+        first, k, p, _ = law[3]() if name.endswith("_resumed") else law
+        assert (first, k, hashlib.sha256(p.astype("<f8").tobytes()).hexdigest()) == self.LAW_PINS[name]
 
     def test_remainder_resumes_the_walk(self, monkeypatch):
         # with EPSILON at 1e-3 about 20 of 20,000 runs land on the remainder of each walk; they resume it
