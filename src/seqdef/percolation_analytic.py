@@ -169,8 +169,8 @@ def qc_intentional(model: DegreeModel) -> CriticalValueReport:
     - ER: they agree to rounding, as the call undoes the interpolation that gave qc; the last bit differs
       at k_hat = 20, and 10 ulps (1.4e-15 relative) at k_hat = 930, n = 1e6;
     - power law: it is the root x * k_min, which also gives link_deletion_prob = x^(2-alpha). By design
-      qc = x^(1-alpha) has no 1/n term, so the call reads lower by O(1/n): 6.845915 against 6.854102
-      at alpha = 2.5, n = 1e4.
+      qc = x^(1-alpha) has no 1/n term, and the call inverts the tail truncated at k_max, so at alpha = 2.5,
+      n = 1e4 it reads 6.843475 against 6.854102 (6.845915, the 1/n term alone, at k_max = 1e9).
     """
     if model.kind == EMPIRICAL:
         raise ConfigError("intentional-attack threshold needs a parametric model")

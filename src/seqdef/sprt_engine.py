@@ -12,13 +12,12 @@ attacked set at p_d, then inert reports (zero LLR) for a targeted one.
 The per-report LLR, the count-form decision, the exact law of the test
 and the LLR moments (report counts, bounds, KL rate) read them.
 
-The count-form rule is stated in `decision_by_counts` and tabulated by
-`_verdict_table` as Wald's integer stopping bounds per one-report count.
-`_detection_law` steps the count lattice through that table's undecided
-band one report at a time, giving the exact probability of every
-(verdict, stop index) atom (Wald 1947). `simulate_detection` draws the
-atom counts of its runs from them in one multinomial (Devroye 1986,
-ch. XI), which has the law of running the tests one by one.
+The count-form rule is stated in `decision_by_counts`; `_detection_law`
+steps the count lattice through its undecided band one report at a time
+and gives the exact probability of every (verdict, stop index) atom (Wald
+1947). `simulate_detection` draws the atom counts of its runs from them
+in one multinomial (Devroye 1986, ch. XI), which has the law of running
+the tests one by one.
 
 Since detectors are i.i.d. given a_i, only the a_i sequence matters for
 simulation; the descending-degree report order is a labeling convention.
@@ -28,9 +27,10 @@ attacked subset of the first M reporters).
 
 from __future__ import annotations
 
-import bisect
 import functools
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -297,9 +297,8 @@ def decision_by_counts(
     The LLR d_m*z1 + (min(m, stop) - d_m)*z0 of the first report segment;
     must agree with the stepwise test on every trajectory. Targeted plans
     are inert beyond the attacked set, so d_m counts successes among the
-    first min(m, M) reports only, so d_m <= min(m, M). It is the
-    reference for `_verdict_table`, which tabulates the same expression,
-    `_count_llr`, for the lattice walk of `_detection_law`.
+    first min(m, M) reports only, so d_m <= min(m, M). `_walk` applies the
+    same expression, `_count_llr`, and comparisons to the count lattice.
     """
     m = _count(m, "report count m")
     d_m = _count(d_m, "success count d_m", 0)
@@ -394,44 +393,27 @@ def worst_case_bounds(
     )
 
 
-def _verdict_table(z1, z0, log_a, log_b, limit):
-    """Wald's table of the count-form rule: a cached function d -> (lo, hi, forced).
-
-    With d ones among m reports, d <= m <= limit, the test goes on while lo <= m < hi. Below lo
-    it gives the verdict the zeros move the LLR away from (attack if z0 <= 0, else null), from
-    hi on the other one; `forced` is whether the truncated verdict at m = limit is attack. For
-    fixed d the float LLR is monotone in m, since rounding is, so bisection finds its exact flips.
-    """
-    crossed = (lambda x: x > log_b, lambda x: x >= log_a) if z0 > 0.0 else (lambda x: x < log_a, lambda x: x <= log_b)
-
-    @functools.cache
-    def table(d):
-        lo, hi = (bisect.bisect_left(range(limit + 1), True, d, key=lambda m: past(_count_llr(d, m, z1, z0))) for past in crossed)
-        return lo, hi, _count_llr(d, limit, z1, z0) > 0.0
-
-    return table
-
-
 @functools.lru_cache(maxsize=32)  # per process, and shared by every caller, so p is read-only
 def _detection_law(z1, z0, log_a, log_b, limit, success):
     """The exact law of one run of the truncated test, from report 0: `_walk`'s (first, k, p, resume)."""
     import numpy as np
-    law = _walk(_verdict_table(z1, z0, log_a, log_b, limit), z0 <= 0.0, limit, success, 0, 0, np.ones(1))
+    law = _walk(z1, z0, log_a, log_b, limit, success, 0, 0, np.ones(1))
     law[2].flags.writeable = False
     return law
 
 
-def _walk(table, attack_below, limit, success, m, a, mass):
+def _walk(z1, z0, log_a, log_b, limit, success, m, a, mass):
     """Walk the count lattice from report m, where mass[i] is undecided with a + i ones, one report at a time.
 
     Each report is one numpy shift-and-add of the undecided band: a one moves mass from d to
-    d + 1 with probability `success`. The LLR is monotone in d, so the states that leave the band
-    at report m are an end run on each side, trimmed by `table` with their verdicts (below lo:
-    attack iff `attack_below`). The walk ends at report `limit`, where the rest is truncated, when
-    no mass is left, or once the undecided mass is below EPSILON. Returns (first, k, p, resume): p
-    holds the threshold-attack masses at stop indices first..first+k-1, the threshold-null masses
-    at the same stops, then the truncated attack and null masses and, if the walk stopped below
-    EPSILON, that undecided mass last; `resume()` walks on from its state, scaled to 1 (else None).
+    d + 1 with probability `success`. For fixed m the float LLR `_count_llr` is monotone in d, so
+    the states that leave the band at report m are an end run on each side; each end is trimmed
+    while its LLR is at or past log_a (attack) or log_b (null). The walk ends at report `limit`,
+    where the rest is truncated (attack iff the LLR is positive), when no mass is left, or once
+    the undecided mass is below EPSILON. Returns (first, k, p, resume): p holds the threshold-attack
+    masses at stop indices first..first+k-1, the threshold-null masses at the same stops, then the
+    truncated attack and null masses and, if the walk stopped below EPSILON, that undecided mass
+    last; `resume()` walks on from its state, scaled to 1 (else None).
     """
     import numpy as np
     first, keep = m + 1, 1.0 - success
@@ -450,17 +432,17 @@ def _walk(table, attack_below, limit, success, m, a, mass):
         j += 1
         gone = [0.0, 0.0]  # null, attack
         while i < j:  # the ones' end
-            lo, hi, _ = table(a + j - 1 - i)
-            if lo <= m < hi:
+            llr = _count_llr(a + j - 1 - i, m, z1, z0)
+            if log_b < llr < log_a:
                 break
             j -= 1
-            gone[(m < lo) == attack_below] += buf[j]
+            gone[llr >= log_a] += buf[j]
             buf[j] = 0.0
         while i < j:  # the zeros' end
-            lo, hi, _ = table(a)
-            if lo <= m < hi:
+            llr = _count_llr(a, m, z1, z0)
+            if log_b < llr < log_a:
                 break
-            gone[(m < lo) == attack_below] += buf[i]
+            gone[llr >= log_a] += buf[i]
             i, a = i + 1, a + 1
         null.append(gone[0])
         attack.append(gone[1])
@@ -468,11 +450,11 @@ def _walk(table, attack_below, limit, success, m, a, mass):
             break
         left = buf[i:j].sum()
         if left < EPSILON:
-            rest = functools.partial(_walk, table, attack_below, limit, success, m, a, buf[i:j] / left)
+            rest = functools.partial(_walk, z1, z0, log_a, log_b, limit, success, m, a, buf[i:j] / left)
             return first, len(attack), np.array([*attack, *null, 0.0, 0.0, left]), rest
     forced = [0.0, 0.0]  # null, attack at m_c
     for d in range(a, a + j - i):
-        forced[table(d)[2]] += buf[i + d - a]
+        forced[_count_llr(d, m, z1, z0) > 0.0] += buf[i + d - a]
     return first, len(attack), np.array([*attack, *null, forced[1], forced[0]]), None
 
 
@@ -496,16 +478,19 @@ def simulate_detection(
 
     Stream contract: `_detection_law` walks the count lattice of the first
     report segment (reports 1..min(stop, m_c); later ones are inert) to its
-    atoms, classified by `_verdict_table`, the count-form rule as integers.
+    atoms, classified by the count-form rule of `decision_by_counts`.
     `rng_stream(seed, 0x5D).multinomial(trials, p)` then draws the counts of
     the atoms in this order: threshold attack at stop indices 1, 2, ..., k,
     threshold null at the same stops, truncated attack, truncated null, and,
     if the walk stopped with less than EPSILON undecided, that remainder.
     Runs on the remainder resume the walk from its saved state, and the same
     generator draws their counts over the resumed atoms, in the same order,
-    until no run is left undecided; so the law is never truncated.
+    until no run is left undecided; so the law is never truncated. The
+    counts are folded in Python ints, exact up to 2**63 - 1 trials.
     """
     trials = _count(trials, "trials")
+    if trials > 2**63 - 1:  # numpy's multinomial takes its count as a C long
+        raise ConfigError(f"trials = {trials} exceeds 2**63 - 1, the most runs one multinomial draws")
     m_c = _count(m_c, "report budget m_c")
     _seed(seed)
     if truth not in (H0, H1):
@@ -513,7 +498,6 @@ def simulate_detection(
     _, stop, p1, z1, z0 = report_segments(plan, detector)[0]
     if z1 == 0.0 and z0 == 0.0:  # inert stream: the LLR stays 0, so every run is truncated to null
         return DetectionSummary(trials, float(m_c), m_c, 0, 0, 0, trials)
-    import numpy as np
     success = p1 if truth == H1 else detector.p_f
     law = _detection_law(z1, z0, risk.log_a, risk.log_b, min(stop, m_c), success)
     rng, runs = rng_stream(seed, 0x5D), trials
@@ -521,10 +505,10 @@ def simulate_detection(
     while runs:
         first, k, p, resume = law
         counts = rng.multinomial(runs, p).tolist()
-        hits = np.add(counts[:k], counts[k : 2 * k])
+        hits, stops = list(map(operator.add, counts[:k], counts[k : 2 * k])), range(first, first + k)
         ta, tn, ua, un = ta + sum(counts[:k]), tn + sum(counts[k : 2 * k]), ua + counts[2 * k], un + counts[2 * k + 1]
-        stop_sum += int(hits @ np.arange(first, first + k)) + (counts[2 * k] + counts[2 * k + 1]) * m_c
-        stop_max = max(stop_max, first + int(np.flatnonzero(hits)[-1]) if hits.any() else 0)
+        stop_sum += sum(map(operator.mul, hits, stops)) + (counts[2 * k] + counts[2 * k + 1]) * m_c
+        stop_max = max(stop_max, max(itertools.compress(stops, hits), default=0))
         runs = counts[-1] if resume else 0
         law = resume() if runs else None
     return DetectionSummary(

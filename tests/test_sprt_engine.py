@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import inspect
 import math
 import time
 from pathlib import Path
@@ -36,7 +37,7 @@ from seqdef import (
 from oracles import TruncatedOutcome, exact_truncated_test
 from seqdef import sprt_engine
 from seqdef._rand import rng_stream
-from seqdef.sprt_engine import _count_llr, _detection_law, _llr_pair, _verdict_table
+from seqdef.sprt_engine import _count_llr, _detection_law, _llr_pair
 
 RISK = RiskBudget(0.01, 0.001)
 
@@ -291,48 +292,19 @@ class TestCountFormAgreement:
 
 
 class TestCountLattice:
-    @settings(max_examples=400, deadline=None)
-    @given(
-        scheme=st.sampled_from(["random", "intentional"]),
-        q=st.floats(1e-3, 1.0),
-        n=st.integers(1, 120),
-        probs=st.tuples(st.floats(1e-4, 0.999), st.floats(1e-4, 0.999)).map(sorted),
-        delta=st.floats(1e-4, 0.45),
-        theta=st.floats(1e-4, 0.45),
-        m_c=st.integers(1, 150),
-    )
-    # float ties: at d = 1 the zeros bring the LLR exactly onto log B at m = 3; the LLR at m_c is exactly 0
-    @example("random", 1.0, 10, (0.375, 0.75), 0.375, 0.2, 20)
-    @example("random", 1.0, 10, (0.25, 0.75), 0.01, 0.01, 2)
-    def test_verdict_table_matches_count_form_property(self, scheme, q, n, probs, delta, theta, m_c):
-        # the table against the count-form rule at every lattice point d <= m <= limit: both LLR
-        # signs (q * p_d above and below p_f), targeted budgets inside and past M
-        plan = AttackPlan(scheme, q, n)
-        det = DetectorProfile(probs[1], probs[0])
-        risk = RiskBudget(delta, theta)
-        _, stop, _, z1, z0 = report_segments(plan, det)[0]
-        limit = min(stop, m_c)
-        table = _verdict_table(z1, z0, risk.log_a, risk.log_b, limit)
-        below, above = ("accept_attack", "accept_null") if z0 <= 0.0 else ("accept_null", "accept_attack")
-        for d in range(min(limit, 40) + 1):
-            lo, hi, _ = table(d)
-            for m in range(max(d, 1), limit + 1):
-                verdict = below if m < lo else above if m >= hi else "continue"
-                assert decision_by_counts(d, m, plan, det, risk) == verdict, (d, m)
-
     @settings(max_examples=300, deadline=None)
     @given(
         probs=st.tuples(st.floats(1e-4, 0.999), st.floats(1e-4, 0.999)),
         counts=st.lists(st.integers(0, 10**12), min_size=3, max_size=3).map(sorted),
     )
-    def test_count_llr_monotone_in_m(self, probs, counts):
-        # `_verdict_table` bisects for its crossings, which is exact only because the float
-        # LLR moves one way in m for fixed d: both signs of z0 (q * p_d above and below p_f)
+    def test_count_llr_monotone_in_d(self, probs, counts):
+        # `_walk` trims the band only at its two ends, which is exact only because the float LLR
+        # moves one way in d for fixed m: both signs of z0 (q * p_d above and below p_f)
         z1, z0 = _llr_pair(*probs)
-        d, m, later = counts
-        for a, b in ((m, m + 1), (m, later)):
-            first, second = _count_llr(d, a, z1, z0), _count_llr(d, b, z1, z0)
-            assert first <= second if z0 > 0.0 else first >= second
+        d, later, m = counts
+        for a, b in ((d, min(d + 1, m)), (d, later)):
+            first, second = _count_llr(a, m, z1, z0), _count_llr(b, m, z1, z0)
+            assert first <= second if z0 <= 0.0 else first >= second
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -436,10 +408,11 @@ class TestCountLattice:
         walks = []
 
         def counted(*args):
-            walks.append(args[4])  # the report the walk starts from
+            walks.append(signature.bind(*args).arguments["m"])  # the report the walk starts from
             return walk(*args)
 
         walk = sprt_engine._walk
+        signature = inspect.signature(walk)
         monkeypatch.setattr(sprt_engine, "EPSILON", 1e-3)
         monkeypatch.setattr(sprt_engine, "_walk", counted)
         _detection_law.cache_clear()
@@ -479,8 +452,8 @@ class TestCountLattice:
                 assert simulate_detection(plan, det, RISK, m_c, 3000, seed=1, truth=truth) == expected
 
 
-    def test_count_llr_called_only_by_the_rule_and_its_table(self):
-        # one count-form rule: `decision_by_counts` states it and `_verdict_table` tabulates it;
+    def test_count_llr_called_only_by_the_rule_and_the_walk(self):
+        # one count-form rule: `decision_by_counts` states it and `_walk` reads it at the band's ends;
         # any other reader of `_count_llr` would be a third copy to keep in step
         readers = set()
         for path in sorted(Path(seqdef.__file__).parent.glob("*.py")):
@@ -490,7 +463,7 @@ class TestCountLattice:
                         isinstance(node, ast.alias) and node.name == "_count_llr"
                     ):
                         readers.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
-        assert readers == {"sprt_engine.py:decision_by_counts", "sprt_engine.py:_verdict_table"}
+        assert readers == {"sprt_engine.py:decision_by_counts", "sprt_engine.py:_walk"}
 
 
 class TestExpectedReports:
@@ -714,7 +687,7 @@ class TestSimulateDetection:
 
     def test_budget_far_past_every_decision_changes_nothing(self):
         # the long_h1 walk stops below EPSILON within 700 reports, so a budget of 10**12 gives the
-        # same law and summary; the verdict table is sized by the one-report count, never by m_c
+        # same law and summary; the walk ends where its mass does, never at m_c
         (plan, det, _, trials, seed, truth), _ = self.PINNED["long_h1"]
         start = time.perf_counter()
         huge = simulate_detection(plan, DetectorProfile(*det), RISK, 10**12, trials, seed, truth=truth)
@@ -738,6 +711,25 @@ class TestSimulateDetection:
             trials, sum(stops) / trials, max(stops), sum(counts[:k]), sum(counts[k : 2 * k]), *counts[2 * k : 2 * k + 2]
         )
         assert simulate_detection(plan, detector, RISK, m_c, trials, seed, truth=truth) == expected
+
+    @pytest.mark.parametrize("name, trials", [("long_h1", 2**62), ("short_h1", 2**63 - 1)])
+    def test_mean_stop_exact_at_the_most_trials(self, name, trials):
+        # the int64 dot of stop counts and stop indices wrapped without a warning: the mean stop read
+        # 0.264 for long_h1 and 3.26 for short_h1, against an exact 20.264 and 19.262
+        (plan, det, m_c, _, seed, truth), _ = self.PINNED[name]
+        detector = DetectorProfile(*det)
+        summary = simulate_detection(plan, detector, RISK, m_c, trials, seed, truth=truth)
+        counts = summary.threshold_attack, summary.threshold_null, summary.truncated_attack, summary.truncated_null
+        assert sum(counts) == trials
+        exact = oracle_outcome(plan, detector, RISK, m_c, truth)
+        spread = math.sqrt((exact.second_moment - exact.mean**2) / trials)
+        assert abs(summary.mean_stop_index - exact.mean) <= 3 * spread + 1e-9
+
+    def test_trials_past_a_c_long_rejected(self):
+        # numpy's multinomial takes its count as a C long; one more run was a bare OverflowError
+        plan, det = AttackPlan("random", 0.3, 10**4), DetectorProfile(0.5, 0.01)
+        with pytest.raises(ConfigError, match="trials"):
+            simulate_detection(plan, det, RISK, 50, 2**63, seed=7)
 
     def test_validation(self):
         det = DetectorProfile(0.5, 0.01)
