@@ -317,9 +317,10 @@ class TestCountLattice:
         m_c=st.integers(1, 150),
         truth=st.sampled_from(["h0", "h1"]),
     )
-    @example("random", 1.0, 10, (0.375, 0.75), 0.375, 0.2, 20, "h1")
-    @example("random", 1.0, 10, (0.25, 0.75), 0.01, 0.01, 2, "h1")
+    @example("random", 1.0, 10, (0.375, 0.75), 0.375, 0.2, 20, "h1")  # at d = 1 the zeros bring the LLR onto log B at m = 3
+    @example("random", 1.0, 10, (0.25, 0.75), 0.01, 0.01, 2, "h1")  # the LLR at m_c is exactly 0
     @example("random", 0.01, 10**4, (0.02, 0.5), 0.01, 0.001, 150, "h0")  # q * p_d < p_f: the zeros drift up
+    @example("random", 1.0, 10, (0.25, 0.75), 0.25, 0.25, 5, "h1")  # z1 is exactly log A and z0 exactly log B
     def test_law_matches_exact_oracle_property(self, scheme, q, n, probs, delta, theta, m_c, truth):
         # random and targeted plans, budgets that end inside and past the attacked set, both LLR signs
         plan, det, risk = AttackPlan(scheme, q, n), DetectorProfile(probs[1], probs[0]), RiskBudget(delta, theta)
@@ -687,7 +688,7 @@ class TestSimulateDetection:
 
     def test_budget_far_past_every_decision_changes_nothing(self):
         # the long_h1 walk stops below EPSILON within 700 reports, so a budget of 10**12 gives the
-        # same law and summary; the walk ends where its mass does, never at m_c
+        # same law and summary; the walk's length is set by its undecided mass, never by m_c
         (plan, det, _, trials, seed, truth), _ = self.PINNED["long_h1"]
         start = time.perf_counter()
         huge = simulate_detection(plan, DetectorProfile(*det), RISK, 10**12, trials, seed, truth=truth)
@@ -725,12 +726,6 @@ class TestSimulateDetection:
         spread = math.sqrt((exact.second_moment - exact.mean**2) / trials)
         assert abs(summary.mean_stop_index - exact.mean) <= 3 * spread + 1e-9
 
-    def test_trials_past_a_c_long_rejected(self):
-        # numpy's multinomial takes its count as a C long; one more run was a bare OverflowError
-        plan, det = AttackPlan("random", 0.3, 10**4), DetectorProfile(0.5, 0.01)
-        with pytest.raises(ConfigError, match="trials"):
-            simulate_detection(plan, det, RISK, 50, 2**63, seed=7)
-
     def test_validation(self):
         det = DetectorProfile(0.5, 0.01)
         plan = AttackPlan("random", 0.3, 100)
@@ -746,3 +741,6 @@ class TestSimulateDetection:
             simulate_detection(plan, det, RISK, 2.5, 10, seed=0)
         with pytest.raises(ConfigError, match="trials"):
             simulate_detection(plan, det, RISK, 10, 2.5, seed=0)
+        # numpy's multinomial takes its count as a C long; one more run was a bare OverflowError
+        with pytest.raises(ConfigError, match="trials"):
+            simulate_detection(plan, det, RISK, 10, 2**63, seed=0)
