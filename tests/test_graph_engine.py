@@ -789,6 +789,31 @@ class TestEstimateQc:
         random_est = estimate_qc(g, "random", trials=3, seed=0)
         assert targeted.qc < random_est.qc
 
+    # float hex of the 5-trial q_c at seed 11, and for ER the sha256 of edges.tobytes(): a change to
+    # G(n, p) generation, canonicalization, survival times or the tau pass moves one of them
+    @pytest.mark.parametrize(
+        "model, seed, edges, qc",
+        [
+            (
+                DegreeModel.er(4),
+                2,
+                "7c53538f4a5d081bf606abebd86c65c34cdca71798e6d69b2ec3d3eeb38a7eca",
+                "0x1.807dd44135547p-1",
+            ),
+            (
+                DegreeModel.power_law(2.5, k_max=100),
+                0,
+                "d75175782712b677b813c1fce889116f5aeff1624b6b7971583794a2d47d2db7",
+                "0x1.c29f16b11c6d2p-1",
+            ),
+        ],
+        ids=["er", "power_law"],
+    )
+    def test_random_qc_pinned(self, model, seed, edges, qc):
+        g = generate(model, 10**4, seed=seed)
+        assert hashlib.sha256(g.edges.tobytes()).hexdigest() == edges
+        assert estimate_qc(g, "random", 5, 11).qc.hex() == qc
+
     def test_trials_validation(self):
         with pytest.raises(ConfigError):
             estimate_qc(star_graph(3), "random", trials=0, seed=0)
