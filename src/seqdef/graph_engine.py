@@ -1,13 +1,14 @@
 """Concrete graphs: generation, ingestion, components, betweenness, attacks.
 
 Graphs are simple and undirected with dense node indices, stored as one
-canonical edge array. An attack removes nodes in a scheme-specific order;
-each edge then has a survival time t_e, the earlier removal position of
-its two ends, and is present while at most t_e nodes are gone. The whole
-removal curve follows from these times: the Molloy-Reed ratio of the
-surviving subgraph by sorting and cumulative sums, and its largest
-component by one union-find pass over the edges in decreasing t_e
-(reverse percolation, Newman & Ziff 2000).
+edge array decoded from the sorted distinct pair codes a*n + b. An attack
+removes nodes in a scheme-specific order; each edge then has a survival
+time t_e, the earlier removal position of its two ends, and is present
+while at most t_e nodes are gone. One pass per order computes the times,
+and the whole removal curve follows from them: the Molloy-Reed ratio of
+the surviving subgraph by sorting and cumulative sums, and its largest
+component by union-find over the edges in decreasing t_e (reverse
+percolation, Newman & Ziff 2000).
 
 Betweenness orders come from exact scores. Every hanging tree is peeled
 away and scored by one closed form in its sizes; exact Brandes
@@ -46,11 +47,11 @@ class NetworkGraph:
 
     The constructor canonicalizes raw edges into `edges`, the one stored
     representation: rows (a, b) with a < b, sorted, with self-loops and
-    duplicates dropped and counted. Duplicates are found by sorting the
-    pair codes a*n + b and keeping each code that differs from the one
-    before it. `n` and the endpoints must be whole numbers, `edges` must
-    be (u, v) rows, and `labels`, when given, holds a distinct id per node.
-    Instances are treated as immutable once built.
+    duplicates dropped and counted. Each raw row becomes the pair code
+    a*n + b; the codes of non-loops are sorted, and each that differs from
+    the one before it is decoded into its row by one divmod. `n` and the
+    endpoints must be whole numbers, `edges` must be (u, v) rows, and
+    `labels`, when given, holds a distinct id per node. Immutable once built.
     """
 
     def __init__(self, n, edges, *, labels=None, stubs_dropped=0):
@@ -61,13 +62,12 @@ class NetworkGraph:
         raw = raw.reshape(-1, 2)
         if raw.size and (raw.min() < 0 or raw.max() >= self.n):
             raise ConfigError("edge endpoint outside [0, n)")
-        loops = raw[:, 0] == raw[:, 1]
-        self.self_loops_dropped = int(loops.sum())
-        raw = raw[~loops]
-        codes = np.sort(np.minimum(raw[:, 0], raw[:, 1]) * self.n + np.maximum(raw[:, 0], raw[:, 1]))
-        codes = codes[np.diff(codes, prepend=-1) != 0]  # first copy of each code; empty stays empty
-        self.duplicates_dropped = int(raw.shape[0] - codes.size)
-        self.edges = np.column_stack((codes // self.n, codes % self.n))
+        codes = np.minimum(raw[:, 0], raw[:, 1]) * self.n + np.maximum(raw[:, 0], raw[:, 1])
+        codes = np.sort(codes[raw[:, 0] != raw[:, 1]])
+        self.self_loops_dropped = int(raw.shape[0] - codes.size)
+        first = np.diff(codes, prepend=-1) != 0  # first copy of each code; empty stays empty
+        self.duplicates_dropped = int(codes.size - first.sum())
+        self.edges = np.column_stack(np.divmod(codes[first], self.n))
         self.stubs_dropped = int(stubs_dropped)
         self.labels = None if labels is None else np.asarray(labels)
         if self.labels is not None:
@@ -237,8 +237,7 @@ def load_edge_list(path) -> NetworkGraph:
     need not be dense; they are remapped to 0..n-1 in sorted order and
     kept on the returned graph's `labels`.
     """
-    pairs: list[tuple[int, int]] = []
-    mentioned: set[int] = set()
+    ends, alone = [], []  # u0, v0, u1, v1, ... of 'u v' lines; the ids of single-id lines
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -251,19 +250,15 @@ def load_edge_list(path) -> NetworkGraph:
                 raise ConfigError(f"{path}:{lineno}: malformed line {raw.strip()!r}") from exc
             if any(not 0 <= i < 2**63 for i in ids):
                 raise ConfigError(f"{path}:{lineno}: node id outside [0, 2**63) in {raw.strip()!r}")
-            if len(ids) == 1:
-                mentioned.add(ids[0])
-            elif len(ids) == 2:
-                mentioned.update(ids)
-                pairs.append((ids[0], ids[1]))
-            else:
+            if len(ids) > 2:
                 raise ConfigError(f"{path}:{lineno}: expected 'u v', got {raw.strip()!r}")
-    if not pairs:
+            (ends if len(ids) == 2 else alone).extend(ids)
+    if not ends:
         raise ConfigError(f"{path}: no edges")
-    labels = np.array(sorted(mentioned), dtype=np.int64)
-    index = {int(label): i for i, label in enumerate(labels)}
-    edges = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64)
-    return NetworkGraph(len(labels), edges, labels=labels)
+    mentioned = np.array(ends + alone, dtype=np.int64)
+    labels = np.sort(mentioned)
+    labels = labels[np.append(True, labels[1:] != labels[:-1])]
+    return NetworkGraph(labels.size, np.searchsorted(labels, mentioned[: len(ends)]).reshape(-1, 2), labels=labels)
 
 
 def largest_component(graph: NetworkGraph) -> tuple[int, list[int]]:
@@ -472,7 +467,7 @@ def removal_order(graph: NetworkGraph, scheme: str, seed: int) -> np.ndarray:
     scheme = _attack_scheme(scheme)
     _seed(seed)
     if scheme == RANDOM:
-        return _random_order(graph, seed, 0)
+        return _order(graph, RANDOM, seed, 0)
     if scheme == INTENTIONAL:
         return np.lexsort((np.arange(graph.n), -graph.degrees()))
     return np.lexsort((np.arange(graph.n), -_round_significant(betweenness(graph), TIE_DIGITS)))
@@ -485,14 +480,11 @@ def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
     return np.round(x * scale) / scale
 
 
-def _random_order(graph: NetworkGraph, seed: int, trial: int) -> np.ndarray:
-    """Random removal order of trial `trial`, drawn from stream (seed, 0xA7, trial)."""
-    return rng_stream(seed, 0xA7, trial).permutation(graph.n)
-
-
 def _order(graph: NetworkGraph, scheme: str, seed: int, trial: int) -> np.ndarray:
-    """Removal order of one attack trial: the seeded random order of `trial`, or the scheme's one static order."""
-    return _random_order(graph, seed, trial) if scheme == RANDOM else removal_order(graph, scheme, seed)
+    """Removal order of one attack trial: random from stream (seed, 0xA7, trial), else the scheme's static order."""
+    if scheme == RANDOM:
+        return rng_stream(seed, 0xA7, trial).permutation(graph.n)
+    return removal_order(graph, scheme, seed)
 
 
 def _survival_times(graph: NetworkGraph, order: np.ndarray) -> np.ndarray:
@@ -510,8 +502,8 @@ def _tau_constants(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray, np.ndar
     return graph.edges.T.ravel() * (n + 1) + n, np.repeat(np.arange(n) * (n + 1) + n, degrees), 2.0 * rank + 1
 
 
-def _tau_by_removed(graph: NetworkGraph, order: np.ndarray, constants) -> np.ndarray:
-    """Molloy-Reed tau of what survives each removal prefix of `order`, by removed count m = 0..n.
+def _tau_by_removed(graph: NetworkGraph, times: np.ndarray, constants) -> np.ndarray:
+    """Molloy-Reed tau of what survives each removal prefix, by removed count m = 0..n, from survival `times`.
 
     Going back in time, a node's degree grows by one at each of its edges'
     survival times, so its half-edge of rank r (0 for the latest t_e) adds
@@ -521,7 +513,6 @@ def _tau_by_removed(graph: NetworkGraph, order: np.ndarray, constants) -> np.nda
     """
     n = graph.n
     base, offset, weights = constants
-    times = _survival_times(graph, order)
     # half-edges grouped by node, latest survival time first; a key's offset less the key is its time
     key = np.sort(base - np.concatenate((times, times)))
     s2 = np.bincount(offset - key, weights=weights, minlength=n + 1)[::-1].cumsum()[::-1]
@@ -529,15 +520,14 @@ def _tau_by_removed(graph: NetworkGraph, order: np.ndarray, constants) -> np.nda
     return np.divide(s2, s1, out=np.zeros(n + 1), where=s1 > 0)
 
 
-def _lcc_by_removed(graph: NetworkGraph, order: np.ndarray) -> np.ndarray:
-    """Largest-component size of what survives each removal prefix of `order`, by removed count m = 0..n.
+def _lcc_by_removed(graph: NetworkGraph, times: np.ndarray) -> np.ndarray:
+    """Largest-component size of what survives each removal prefix, by removed count m = 0..n, from survival `times`.
 
     Edges are united in decreasing survival time; once every edge with
     t_e >= m is in, the largest component is that of the graph with m
     nodes gone, where a lone surviving node counts 1.
     """
     n = graph.n
-    times = _survival_times(graph, order)
     _, bests = _union_edges(n, graph.edges[np.argsort(-times)])
     lcc = bests[np.bincount(times, minlength=n + 1)[::-1].cumsum()[::-1]]
     lcc[n] = 0
@@ -591,13 +581,8 @@ def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
 
 def _trial_response(graph, scheme, seed, removed, constants, trial) -> tuple[np.ndarray, np.ndarray]:
     """(LCC sizes by removed count, tau at `removed`) of the removal order of `trial`."""
-    order = _order(graph, scheme, seed, trial)
-    return _lcc_by_removed(graph, order), _tau_by_removed(graph, order, constants)[removed]
-
-
-def _first_crossing(tau: np.ndarray) -> int:
-    """Smallest removal count at which tau drops to 2 or below."""
-    return int(np.argmax(tau <= 2.0))
+    times = _survival_times(graph, _order(graph, scheme, seed, trial))
+    return _lcc_by_removed(graph, times), _tau_by_removed(graph, times, constants)[removed]
 
 
 def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcEstimate:
@@ -613,5 +598,6 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
         return QcEstimate(0.0, True)
     constants = _tau_constants(graph)
     orders = (_order(graph, scheme, seed, trial) for trial in range(trials if scheme == RANDOM else 1))
-    crossings = [_first_crossing(_tau_by_removed(graph, order, constants)) / graph.n for order in orders]
+    taus = (_tau_by_removed(graph, _survival_times(graph, order), constants) for order in orders)
+    crossings = [int(np.argmax(tau <= 2.0)) / graph.n for tau in taus]  # first removal count with tau <= 2
     return QcEstimate(float(np.mean(crossings)), False)

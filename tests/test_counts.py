@@ -111,17 +111,44 @@ def test_decision_by_counts_rejects_more_ones_than_reports():
     assert decision_by_counts(4, 10, AttackPlan("degree", 0.04, 100), DET, RISK) == "accept_attack"
 
 
+def _source_nodes():
+    """(file name, node) for every AST node of the package's modules."""
+    for path in sorted(Path(seqdef.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def test_no_scalar_count_through_the_array_rule():
     # `int(_whole(x))` is a scalar count checked by the array rule, beside a hand-written bound;
     # scalar counts go through `_count`, which checks the bound too
-    found = []
-    for path in sorted(Path(seqdef.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "int"
-                and any(isinstance(a, ast.Call) and getattr(a.func, "id", None) == "_whole" for a in node.args)
-            ):
-                found.append(f"{path.name}:{node.lineno}")
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "int"
+        and any(isinstance(a, ast.Call) and getattr(a.func, "id", None) == "_whole" for a in node.args)
+    ]
+    assert found == []
+
+
+def test_no_np_unique():
+    # the first np.unique call in a process adds 0.9-1.5 MB of peak RSS, several times the
+    # run-to-run spread of the benchmark's powergrid peak_rss_mb; a sort and a neighbour
+    # comparison find the same distinct values
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes()
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "unique"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy"
+            and any(alias.name == "unique" for alias in node.names)
+        )
+    ]
     assert found == []

@@ -38,8 +38,9 @@ from seqdef import _rand
 from seqdef._rand import GROUP_STATES
 from seqdef.graph_engine import (
     _lcc_by_removed,
-    _random_order,
+    _order,
     _removal_curve,
+    _survival_times,
     _tau_by_removed,
     _tau_constants,
 )
@@ -256,6 +257,27 @@ class TestLoadEdgeList:
         with pytest.raises(ConfigError, match=":1"):
             load_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("-1 2\n", ":1: node id outside"),
+            ("1 2\n1 2 99999999999999999999\n", ":2: node id outside"),  # the range is checked before the count
+        ],
+    )
+    def test_id_out_of_range_reports_number(self, tmp_path, text, match):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            load_edge_list(path)
+
+    def test_largest_id_kept_exactly(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text(f"1 {2**63 - 1}\n")
+        g = load_edge_list(path)
+        assert g.labels.dtype == np.int64
+        assert g.labels.tolist() == [1, 2**63 - 1]
+        assert g.edges.tolist() == [[0, 1]]
+
 
 @st.composite
 def labelled_graphs(draw):
@@ -292,7 +314,8 @@ def test_edge_text_round_trip_property(g, tmp_path):
 def test_reverse_percolation_matches_brute_force(g, data):
     # every removal prefix: LCC by depth-first search and tau from the surviving degrees
     order = np.array(data.draw(st.permutations(range(g.n))))
-    lcc, tau = _lcc_by_removed(g, order), _tau_by_removed(g, order, _tau_constants(g))
+    times = _survival_times(g, order)
+    lcc, tau = _lcc_by_removed(g, times), _tau_by_removed(g, times, _tau_constants(g))
     for m in range(g.n + 1):
         alive = set(order[m:].tolist())
         adj = {v: [] for v in alive}
@@ -535,9 +558,9 @@ def test_random_curve_is_the_trial_order_sum():
     removed = np.round(np.linspace(0.0, 0.5, 7) * g.n).astype(np.int64)
     lcc, tau = np.zeros(g.n + 1), np.zeros(7)
     for trial in range(trials):
-        order = _random_order(g, 2, trial)
-        lcc += _lcc_by_removed(g, order) / g.n
-        tau += _tau_by_removed(g, order, _tau_constants(g))[removed]
+        times = _survival_times(g, _order(g, "random", 2, trial))
+        lcc += _lcc_by_removed(g, times) / g.n
+        tau += _tau_by_removed(g, times, _tau_constants(g))[removed]
     assert np.array_equal(curve.lcc_by_removed, lcc / trials)
     assert np.array_equal(curve.remaining_tau, tau / trials)
     assert leftover_children() == []
@@ -748,7 +771,7 @@ class TestAverageRandomAttack:
         averaged = average_random_attack(g, 0.6, 7, trials=1, seed=3)
         assert np.array_equal(single.lcc_fraction, averaged.lcc_fraction)
         assert np.array_equal(single.remaining_tau, averaged.remaining_tau)
-        lcc = _lcc_by_removed(g, removal_order(g, "random", seed=3))
+        lcc = _lcc_by_removed(g, _survival_times(g, removal_order(g, "random", seed=3)))
         removed = np.round(single.removed_fraction * g.n).astype(np.int64)
         assert np.array_equal(lcc[removed] / g.n, single.lcc_fraction)
         assert np.array_equal(lcc / g.n, single.lcc_by_removed)
