@@ -65,9 +65,9 @@ class NetworkGraph:
         codes = np.minimum(raw[:, 0], raw[:, 1]) * self.n + np.maximum(raw[:, 0], raw[:, 1])
         codes = np.sort(codes[raw[:, 0] != raw[:, 1]])
         self.self_loops_dropped = int(raw.shape[0] - codes.size)
-        first = np.diff(codes, prepend=-1) != 0  # first copy of each code; empty stays empty
-        self.duplicates_dropped = int(codes.size - first.sum())
-        self.edges = np.column_stack(np.divmod(codes[first], self.n))
+        codes = codes[np.diff(codes, prepend=-1) != 0]  # first copy of each code; empty stays empty
+        self.duplicates_dropped = int(raw.shape[0] - self.self_loops_dropped - codes.size)
+        self.edges = np.column_stack(np.divmod(codes, self.n))
         self.stubs_dropped = int(stubs_dropped)
         self.labels = None if labels is None else np.asarray(labels)
         if self.labels is not None:
@@ -597,7 +597,8 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)
     constants = _tau_constants(graph)
-    orders = (_order(graph, scheme, seed, trial) for trial in range(trials if scheme == RANDOM else 1))
-    taus = (_tau_by_removed(graph, _survival_times(graph, order), constants) for order in orders)
-    crossings = [int(np.argmax(tau <= 2.0)) / graph.n for tau in taus]  # first removal count with tau <= 2
+    crossings = []
+    for trial in range(trials if scheme == RANDOM else 1):
+        times = _survival_times(graph, _order(graph, scheme, seed, trial))
+        crossings.append(int(np.argmax(_tau_by_removed(graph, times, constants) <= 2.0)) / graph.n)
     return QcEstimate(float(np.mean(crossings)), False)
