@@ -597,8 +597,9 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)
     constants = _tau_constants(graph)
-    crossings = []
-    for trial in range(trials if scheme == RANDOM else 1):
-        times = _survival_times(graph, _order(graph, scheme, seed, trial))
-        crossings.append(int(np.argmax(_tau_by_removed(graph, times, constants) <= 2.0)) / graph.n)
+    orders = (_order(graph, scheme, seed, trial) for trial in range(trials if scheme == RANDOM else 1))
+    crossings = [
+        int(np.argmax(_tau_by_removed(graph, _survival_times(graph, order), constants) <= 2.0)) / graph.n
+        for order in orders
+    ]
     return QcEstimate(float(np.mean(crossings)), False)

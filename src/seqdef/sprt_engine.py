@@ -52,7 +52,7 @@ H1 = "h1"
 
 # Undecided mass below which `_walk` stops and keeps the rest as one remainder atom, which a draw
 # that lands on it walks on from; changing it changes `simulate_detection` summaries, never their law.
-# A walk covers min(m_c, the reports until under EPSILON is undecided): ~1.2e5 on a near-inert stream with no budget.
+# A walk covers min(m_c, the reports until under EPSILON is undecided); paper budgets m_c = ceil(n q_c) are finite.
 EPSILON = 1e-17
 
 
@@ -478,10 +478,9 @@ def simulate_detection(
     Deterministic given (seed, parameters).
 
     Stream contract: `_detection_law` walks the count lattice of the first
-    report segment (later reports are inert) to its atoms, classified by the
-    count-form rule of `decision_by_counts`, for min(stop, m_c, the reports
-    until less than EPSILON is undecided) reports: about 1.2e5 on a near-inert
-    stream with an unbounded budget; every paper budget m_c = ceil(n q_c) is finite.
+    report segment to its atoms (later reports are inert), classified by the
+    count-form rule of `decision_by_counts`, for min(stop, m_c, reports until
+    less than EPSILON is undecided) reports: ~1.2e5 if near-inert and unbounded.
     `rng_stream(seed, 0x5D).multinomial(trials, p)` then draws the counts of
     the atoms in this order: threshold attack at stop indices 1, 2, ..., k,
     threshold null at the same stops, truncated attack, truncated null, and,
