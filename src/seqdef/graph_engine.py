@@ -601,5 +601,5 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     crossings = [
         int(np.argmax(_tau_by_removed(graph, _survival_times(graph, order), constants) <= 2.0)) / graph.n
         for order in orders
-    ]
+    ]  # no tau or survival times may outlive their trial, or the next trial faults in fresh pages
     return QcEstimate(float(np.mean(crossings)), False)

@@ -52,7 +52,7 @@ H1 = "h1"
 
 # Undecided mass below which `_walk` stops and keeps the rest as one remainder atom, which a draw
 # that lands on it walks on from; changing it changes `simulate_detection` summaries, never their law.
-# A walk covers min(m_c, the reports until under EPSILON is undecided); paper budgets m_c = ceil(n q_c) are finite.
+# A walk covers min(m_c, the reports until less than EPSILON is undecided); paper budgets m_c = ceil(n q_c) are finite.
 EPSILON = 1e-17
 
 
