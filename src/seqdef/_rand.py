@@ -9,7 +9,8 @@ low 64 bits address the stream. One map, `_ordered_map`, runs the two
 kinds of parallel task (Brandes lane blocks and random-attack trials),
 and callers fold its results in task order, so no output depends on the
 CPU count. Detection needs no map: `simulate_detection` draws all its
-runs' outcomes in one multinomial over the test's exact law.
+runs' outcomes in one multinomial over the test's exact law. The heap
+policy, `_keep_heap`, is set once per process by importing `graph_engine`.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ def _worker(fn, tasks, cpu, write, read_ends):
         for fd in read_ends:
             os.close(fd)
         os.sched_setaffinity(0, {cpu})
-        _keep_heap()
         with os.fdopen(write, "wb") as out:
             for task in tasks:
                 try:
@@ -119,7 +119,10 @@ def _worker(fn, tasks, cpu, write, read_ends):
 
 
 def _keep_heap():
-    """Worker setting: glibc keeps freed blocks up to 32 MiB and never trims the heap below 1 GiB (stand-in `powergrid`: 17k minor faults, not 117-140k)."""
+    """Process-wide heap policy, which forked workers inherit: glibc keeps freed blocks up to 32 MiB and never trims below 1 GiB.
+
+    Arrays then reuse freed pages (repeated ER(4) `estimate_qc` at n = 1e5: 0 minor faults, not 3.5-4.7k); no-op without `mallopt`.
+    """
     import ctypes
 
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc's; other C libraries may lack it

@@ -20,7 +20,8 @@ sorting, so float-noise ties break by index.
 
 Brandes lane blocks and random-attack trials are the tasks of the one map
 `_rand._ordered_map`; its results are folded in task order, so no output
-depends on the CPU count.
+depends on the CPU count. Importing this module sets the process's heap
+policy, `_rand._keep_heap`, which forked workers inherit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _rand
 from ._rand import _ordered_map, _seed, rng_stream
 from ._solve import _count, _whole
 from .degree_models import ER, DegreeModel, sample_degree_sequence
@@ -40,6 +42,7 @@ from .sprt_engine import INTENTIONAL, RANDOM, AttackPlan, _attack_scheme, _attac
 REWIRE_SWEEPS = 100
 LANES = 32  # Brandes sources per BFS, one bit each of a uint32 word per node
 TIE_DIGITS = 9
+_rand._keep_heap()  # once per process; forked workers inherit glibc's malloc settings
 
 
 class NetworkGraph:
@@ -49,7 +52,8 @@ class NetworkGraph:
     representation: rows (a, b) with a < b, sorted, with self-loops and
     duplicates dropped and counted. Each raw row becomes the pair code
     a*n + b; the codes of non-loops are sorted, and each that differs from
-    the one before it is decoded into its row by one divmod. `n` and the
+    the one before it is decoded into its row by one divmod. Input already
+    in that form is stored as a C-contiguous int64 copy, with no sort. `n` and the
     endpoints must be whole numbers, `edges` must be (u, v) rows, and
     `labels`, when given, holds a distinct id per node. Immutable once built.
     """
@@ -63,11 +67,14 @@ class NetworkGraph:
         if raw.size and (raw.min() < 0 or raw.max() >= self.n):
             raise ConfigError("edge endpoint outside [0, n)")
         codes = np.minimum(raw[:, 0], raw[:, 1]) * self.n + np.maximum(raw[:, 0], raw[:, 1])
-        codes = np.sort(codes[raw[:, 0] != raw[:, 1]])
-        self.self_loops_dropped = int(raw.shape[0] - codes.size)
-        codes = codes[np.diff(codes, prepend=-1) != 0]  # first copy of each code; empty stays empty
-        self.duplicates_dropped = int(raw.shape[0] - self.self_loops_dropped - codes.size)
-        self.edges = np.column_stack(np.divmod(codes, self.n))
+        if (raw[:, 0] < raw[:, 1]).all() and (codes[1:] > codes[:-1]).all():
+            self.edges, self.self_loops_dropped, self.duplicates_dropped = np.array(raw, order="C"), 0, 0
+        else:
+            codes = np.sort(codes[raw[:, 0] != raw[:, 1]])
+            self.self_loops_dropped = int(raw.shape[0] - codes.size)
+            codes = codes[np.diff(codes, prepend=-1) != 0]  # first copy of each code; empty stays empty
+            self.duplicates_dropped = int(raw.shape[0] - self.self_loops_dropped - codes.size)
+            self.edges = np.column_stack(np.divmod(codes, self.n))
         self.stubs_dropped = int(stubs_dropped)
         self.labels = None if labels is None else np.asarray(labels)
         if self.labels is not None:
@@ -164,7 +171,8 @@ def _configuration_model(degrees: np.ndarray, n: int, rng: np.random.Generator):
     membership is tested with `searchsorted` against `seen`, a sorted
     mirror of the accepted codes that ends in the sentinel n*n. `accepted`
     itself keeps insertion order, because the dissolve choice picks
-    pairings by their index in it.
+    pairings by their index in it. The edges are decoded from `seen`, so
+    they return sorted, as `NetworkGraph` stores them.
     """
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
     if stubs.size % 2 == 1:
@@ -193,8 +201,7 @@ def _configuration_model(degrees: np.ndarray, n: int, rng: np.random.Generator):
             accepted = np.delete(accepted, picks)
             seen = np.delete(seen, np.searchsorted(seen, freed))
             stubs = np.concatenate((stubs, freed // n, freed % n))
-    edges = np.column_stack((accepted // n, accepted % n))
-    return edges, int(stubs.size)
+    return np.column_stack(np.divmod(seen[:-1], n)), int(stubs.size)
 
 
 def generate(model: DegreeModel, n: int, seed: int) -> NetworkGraph:
@@ -238,7 +245,7 @@ def load_edge_list(path) -> NetworkGraph:
     kept on the returned graph's `labels`.
     """
     ends, alone = [], []  # u0, v0, u1, v1, ... of 'u v' lines; the ids of single-id lines
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the first id
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -37,6 +37,8 @@ from seqdef import (
 from seqdef import _rand
 from seqdef._rand import GROUP_STATES
 from seqdef.graph_engine import (
+    _configuration_model,
+    _er_gnp,
     _lcc_by_removed,
     _order,
     _removal_curve,
@@ -55,6 +57,12 @@ def complete_graph(n):
 
 def star_graph(leaves):
     return NetworkGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def is_canonical(n, edges):
+    """Whether `edges` is already in `NetworkGraph`'s stored form: every row a < b, pair codes a*n + b strictly increasing."""
+    codes = edges[:, 0] * n + edges[:, 1]
+    return bool((edges[:, 0] < edges[:, 1]).all() and (np.diff(codes) > 0).all())
 
 
 class TestNetworkGraph:
@@ -95,6 +103,27 @@ class TestNetworkGraph:
         g = NetworkGraph(3.0, [(0.0, 2.0)], labels=[7, 8, 9])
         assert g.n == 3 and g.edges.tolist() == [[0, 2]]
 
+    def test_changing_canonical_input_leaves_edges(self):
+        # canonical input is stored without a sort; what is stored must still be the graph's own copy
+        raw = np.array([[0, 1], [1, 2]])
+        g = NetworkGraph(3, raw)
+        raw[0] = (0, 2)
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            np.asfortranarray([[0, 1], [0, 2], [1, 2]]),
+            np.array([[0, 1], [2, 2], [0, 2], [2, 2], [1, 2], [2, 2]])[::2],  # every other row
+            np.array([[0, 9, 1], [0, 9, 2], [1, 9, 2]])[:, ::2],  # every other column
+        ],
+        ids=["fortran", "row_strided", "column_strided"],
+    )
+    def test_canonical_input_stored_c_contiguous_int64(self, raw):
+        g = NetworkGraph(3, raw)
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+
 
 @st.composite
 def raw_edge_lists(draw):
@@ -103,7 +132,9 @@ def raw_edge_lists(draw):
     node = st.integers(0, n - 1)
     loops = st.lists(node.map(lambda v: (v, v)), max_size=4)
     pairs = st.lists(st.tuples(node, node), max_size=3 * n)
-    return n, draw(st.one_of(st.just([]), loops, pairs))
+    # sorted rows a < b, with repeats (which the canonical-input check must refuse) and without (stored as drawn)
+    ordered = pairs.map(lambda ps: sorted((min(p), max(p)) for p in ps if p[0] != p[1]))
+    return n, draw(st.one_of(st.just([]), loops, pairs, ordered, ordered.map(lambda ps: sorted(set(ps)))))
 
 
 @settings(deadline=None)
@@ -140,6 +171,24 @@ class TestGenerate:
     )
     def test_er_with_vanishing_link_probability_is_empty(self, k_hat, n):
         assert generate(DegreeModel.er(k_hat, n=n), n, seed=0).edge_count == 0
+
+    def test_er_edges_are_canonical(self):
+        n = 3000
+        assert is_canonical(n, _er_gnp(n, 4 / n, np.random.default_rng(1)))
+
+    @pytest.mark.parametrize(
+        "degrees, seed",
+        [
+            ([4] * 6, 3),  # dissolves accepted edges and their codes in `seen`
+            (sample_degree_sequence(DegreeModel.power_law(2.5, k_max=40, n=2000), 2000, seed=2), 2),
+        ],
+        ids=["dissolve", "power_law"],
+    )
+    def test_configuration_model_edges_are_canonical(self, degrees, seed):
+        degrees = np.array(degrees)
+        edges, dropped = _configuration_model(degrees, degrees.size, np.random.default_rng(seed))
+        assert is_canonical(degrees.size, edges)
+        assert dropped == 0 and np.array_equal(np.bincount(edges.ravel(), minlength=degrees.size), degrees)
 
     def test_configuration_model_preserves_sequence(self):
         model = DegreeModel.power_law(2.5, k_max=40, n=2000)
@@ -269,6 +318,16 @@ class TestLoadEdgeList:
         path.write_text(text)
         with pytest.raises(ConfigError, match=match):
             load_edge_list(path)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # the mark was read as part of the first id: "malformed line '\ufeff10 20'"
+        text = "10 20\n20 30\n99\n"
+        plain, marked = tmp_path / "plain.edges", tmp_path / "marked.edges"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        a, b = load_edge_list(plain), load_edge_list(marked)
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf10 20")
+        assert (b.n, b.edges.tolist(), b.labels.tolist()) == (a.n, a.edges.tolist(), a.labels.tolist())
 
     def test_largest_id_kept_exactly(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -512,23 +571,40 @@ def names_read(name):
     return reads
 
 
-def test_keep_heap_runs_only_in_forked_workers():
-    # the allocator settings are for forked workers alone; the calling process, and with it the
-    # inline one-CPU path and every in-process workload, keeps glibc's defaults
-    assert names_read("_keep_heap") == [("_rand.py", "_worker")]
+def test_keep_heap_set_once_at_graph_engine_import():
+    # one heap policy per process: importing graph_engine sets it, and forked workers inherit it,
+    # because fork copies glibc's malloc settings. The inline one-CPU path and every in-process
+    # workload run under it too
+    assert names_read("_keep_heap") == [("graph_engine.py", None)]
 
 
 def test_forked_betweenness_without_mallopt(monkeypatch, cpus):
-    # where libc has no mallopt the workers keep the allocator's defaults; forked scores still equal
-    # the inline ones
+    # where libc has no mallopt the heap policy is a no-op and the allocator keeps its defaults;
+    # forked scores still equal the inline ones
     g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
     assert forks(*lane_blocks(nx.k_core(to_networkx(g), 2)))
     cpus(1)
     inline = betweenness(g)
     cpus(2)
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert _rand._keep_heap() is None
     assert np.array_equal(betweenness(g), inline)
     assert leftover_children() == []
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the C library has no mallopt")
+def test_repeated_estimate_qc_takes_no_fresh_pages():
+    # freed arrays stay in the heap for the next one; glibc's defaults hand them back to the
+    # kernel, and the second call faulted 860 pages back in at n = 1e4
+    delta = run_on_one_cpu(
+        "import resource; from seqdef import DegreeModel, estimate_qc, generate\n"
+        "g = generate(DegreeModel.er(4), 10**4, seed=2)\n"
+        "estimate_qc(g, 'random', 5, 11)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "estimate_qc(g, 'random', 5, 11)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    assert int(delta) < 100
 
 
 def test_random_curve_independent_of_cpu_count():
