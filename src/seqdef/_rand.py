@@ -1,16 +1,17 @@
-"""Deterministic random streams, and the one map that runs independent tasks.
+"""Deterministic random streams, and the two maps that run independent tasks.
 
 Every stochastic routine in the package draws from a Philox-4x64-10
 counter-based generator (numpy's implementation). A stream is addressed
 by the user seed plus a small tuple of stream indices (e.g. a trial
 number), so independent trials can run in parallel and any run can be
 reproduced from (seed, indices) alone. A seed is any whole number; its
-low 64 bits address the stream. One map, `_ordered_map`, runs the two
-kinds of parallel task (Brandes lane blocks and random-attack trials),
-and callers fold its results in task order, so no output depends on the
-CPU count. Detection needs no map: `simulate_detection` draws all its
-runs' outcomes in one multinomial over the test's exact law. The heap
-policy, `_keep_heap`, is set once per process by importing `graph_engine`.
+low 64 bits address the stream. Tasks that hold the GIL (Brandes lane
+blocks, random-attack curves) fork through `_ordered_map`; `estimate_qc`'s
+trials, whose numpy calls release it, run on threads through
+`_threaded_map`, which joins them before it returns. Callers fold results
+in task order, so no output depends on the CPU count. Detection draws its
+runs in one multinomial and needs no map. The heap policy, `_keep_heap`,
+is set once per process by importing `graph_engine`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
-GROUP_STATES = 1 << 18  # array entries the tasks of one map must exceed, all told, before it forks; sets scheduling only, never an output
+GROUP_STATES = 1 << 18  # array entries the tasks of one map must exceed, all told, before it runs in parallel; sets scheduling only, never an output
 
 
 def _fold(indices: tuple[int, ...]) -> int:
@@ -48,20 +49,23 @@ def rng_stream(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _ordered_map(fn, tasks: range, states: int):
-    """Yield fn(task) for every task, in task order; forked once the tasks hold over GROUP_STATES array entries.
+def _cpus(tasks: range, states: int) -> list[int]:
+    """Usable CPUs of a map, one worker each: min(CPUs, tasks) once the tasks hold over GROUP_STATES array entries, else one (inline)."""
+    return sorted(os.sched_getaffinity(0))[: len(tasks) if len(tasks) * states > GROUP_STATES else 1]
 
-    A task holds `states` entries. With 2 or more usable CPUs and tasks that large, W = min(CPUs,
-    tasks) forked workers run; worker w, pinned to the w-th usable CPU (unpinned, a 2-CPU run kept
-    both on the parent's), writes the pickled results of tasks w, w + W, ... to its own pipe, and the
-    parent reads the pipes in task order. Fork is safe as the package starts no threads. A worker's
-    exception is raised here, as a RuntimeError with its traceback text if it does not pickle, and so
-    is one for a worker that dies. However the loop ends, the parent closes the pipes and reaps every
-    worker: one still writing gets EPIPE.
+
+def _ordered_map(fn, tasks: range, states: int):
+    """Yield fn(task) for every task, in task order; forked on the CPUs of `_cpus`, each task holding `states` entries.
+
+    With W = len(_cpus(...)) >= 2, W forked workers run; worker w, pinned to the w-th usable CPU
+    (unpinned, a 2-CPU run kept both on the parent's), writes the pickled results of tasks w, w + W,
+    ... to its own pipe, and the parent reads the pipes in task order. Fork is safe as no thread of
+    the package outlives its map. A worker's exception is raised here, as a RuntimeError with its
+    traceback text if it does not pickle, and so is one for a worker that dies. However the loop
+    ends, the parent closes the pipes and reaps every worker: one still writing gets EPIPE.
     """
-    cpus = sorted(os.sched_getaffinity(0))
-    workers = min(len(cpus), len(tasks))
-    if workers < 2 or len(tasks) * states <= GROUP_STATES:
+    cpus = _cpus(tasks, states)
+    if (workers := len(cpus)) < 2:
         yield from map(fn, tasks)
         return
     import pickle
@@ -118,10 +122,44 @@ def _worker(fn, tasks, cpu, write, read_ends):
         os._exit(0)  # the parent reads a failure from the pipe, never from the exit status
 
 
-def _keep_heap():
-    """Process-wide heap policy, which forked workers inherit: glibc keeps freed blocks up to 32 MiB and never trims below 1 GiB.
+def _threaded_map(fn, tasks: range, states: int) -> list:
+    """[fn(task) for task in tasks] on a thread per CPU of `_cpus`; each is joined before this returns or raises the first exception in task order.
 
-    Arrays then reuse freed pages (repeated ER(4) `estimate_qc` at n = 1e5: 0 minor faults, not 3.5-4.7k); no-op without `mallopt`.
+    Thread w runs tasks w, w + W, ... up to one that raises. The caller's thread is w = 0, so it stays on its CPU: on a shared
+    2-core host a pool doing all the work moved it in 5-8 of 16 calls, and in-process analytic commands after it ran up to 40% slower.
+    """
+    if (workers := len(_cpus(tasks, states))) < 2:
+        return list(map(fn, tasks))
+    import threading
+
+    results, errors = [None] * len(tasks), {}
+
+    def run(w):
+        for i in range(w, len(tasks), workers):
+            try:
+                results[i] = fn(tasks[i])
+            except Exception as exc:  # raised by the caller once every thread is joined
+                errors[i] = exc
+                return
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[min(errors)]  # every task before it ran
+    return results
+
+
+def _keep_heap():
+    """Process-wide heap policy, which forked workers inherit: glibc keeps freed blocks up to 32 MiB, never trims below 1 GiB, and runs every thread on one arena (M_ARENA_MAX).
+
+    Arrays then reuse freed pages, on `_threaded_map`'s threads too (repeated ER(4) `estimate_qc` at n = 1e5: 0 minor faults, not 3.5-4.7k); no-op without `mallopt`.
     """
     import ctypes
 
@@ -130,3 +168,4 @@ def _keep_heap():
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-8, 1)  # M_ARENA_MAX

@@ -137,6 +137,11 @@ def _detectors(pd_grid, pf: float):
             yield DetectorProfile(pd, pf)
 
 
+def _detectable(q: float, det: DetectorProfile) -> bool:
+    """Whether attacking a fraction q gives ones more often than noise does: q * p_d > p_f, in floats, with no noise guard."""
+    return q * det.p_d > det.p_f
+
+
 def _render(config: ExperimentConfig, columns: list[str], rows: list[list]) -> str:
     """The '# key = value' header, the column row, then the rows; floats are written as .12g, the rest by str."""
     lines = []
@@ -207,9 +212,9 @@ def cmd_qc_sweep(config: ExperimentConfig) -> str:
 def cmd_m1(config: ExperimentConfig) -> str:
     """Expected report counts for random and intentional attacks.
 
-    Grid points outside the detectable regime (p_d <= p_f, or random
-    attacks with q * p_d <= p_f) are skipped; a q outside (0, 1] is a
-    configuration error.
+    Grid points outside the detectable regime (p_d <= p_f, or random and
+    surface rows with q * p_d <= p_f, q being q_c on a surface) are
+    skipped; a q outside (0, 1] is a configuration error.
     """
     risk = config.risk()
     pd_grid = parse_grid(config.pd_grid)
@@ -220,10 +225,9 @@ def cmd_m1(config: ExperimentConfig) -> str:
     for pf in pf_list:
         for det in _detectors(pd_grid, pf):
             for q in q_grid:
-                if q * det.p_d <= pf:
-                    continue
-                m1 = expected_reports_random(q, det, risk)
-                rows.append(["random", "", "", q, det.p_d, pf, "", m1])
+                if _detectable(q, det):
+                    m1 = expected_reports_random(q, det, risk)
+                    rows.append(["random", "", "", q, det.p_d, pf, "", m1])
             m1 = expected_reports_intentional(det, risk)
             rows.append(["intentional", "", "", "", det.p_d, pf, "", m1])
     # report-count surfaces over (network parameter, pd) at the critical q
@@ -239,8 +243,9 @@ def cmd_m1(config: ExperimentConfig) -> str:
             except SubcriticalError:
                 continue
             for det in _detectors(pd_grid, config.pf):
-                m1 = expected_reports_random(qc, det, risk)
-                rows.append(["surface", kind, param, qc, det.p_d, config.pf, qc, m1])
+                if _detectable(qc, det):
+                    m1 = expected_reports_random(qc, det, risk)
+                    rows.append(["surface", kind, param, qc, det.p_d, config.pf, qc, m1])
     return _render(config, columns, rows)
 
 

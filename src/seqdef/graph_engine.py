@@ -18,10 +18,10 @@ over a shortest-path DAG sorted by level, with dependencies in reciprocal
 form. The scores are rounded to TIE_DIGITS significant digits before
 sorting, so float-noise ties break by index.
 
-Brandes lane blocks and random-attack trials are the tasks of the one map
-`_rand._ordered_map`; its results are folded in task order, so no output
-depends on the CPU count. Importing this module sets the process's heap
-policy, `_rand._keep_heap`, which forked workers inherit.
+Brandes lane blocks and random-attack curves fork through `_ordered_map`,
+and `estimate_qc`'s trials run on threads through `_threaded_map`; results
+fold in task order, so no output depends on the CPU count. Importing this
+module sets the process's heap policy, `_keep_heap`, which workers inherit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _rand
-from ._rand import _ordered_map, _seed, rng_stream
+from ._rand import _ordered_map, _seed, _threaded_map, rng_stream
 from ._solve import _count, _whole
 from .degree_models import ER, DegreeModel, sample_degree_sequence
 from .errors import ConfigError
@@ -51,9 +51,9 @@ class NetworkGraph:
     The constructor canonicalizes raw edges into `edges`, the one stored
     representation: rows (a, b) with a < b, sorted, with self-loops and
     duplicates dropped and counted. Each raw row becomes the pair code
-    a*n + b; the codes of non-loops are sorted, and each that differs from
-    the one before it is decoded into its row by one divmod. Input already
-    in that form is stored as a C-contiguous int64 copy, with no sort. `n` and the
+    min*n + max; the codes of non-loops are sorted, and each that differs from
+    the one before it is decoded into its row by one divmod. Input already in
+    that form is stored as a C-contiguous int64 copy, with no sort. `n` and the
     endpoints must be whole numbers, `edges` must be (u, v) rows, and
     `labels`, when given, holds a distinct id per node. Immutable once built.
     """
@@ -66,10 +66,11 @@ class NetworkGraph:
         raw = raw.reshape(-1, 2)
         if raw.size and (raw.min() < 0 or raw.max() >= self.n):
             raise ConfigError("edge endpoint outside [0, n)")
-        codes = np.minimum(raw[:, 0], raw[:, 1]) * self.n + np.maximum(raw[:, 0], raw[:, 1])
+        codes = raw[:, 0] * self.n + raw[:, 1]
         if (raw[:, 0] < raw[:, 1]).all() and (codes[1:] > codes[:-1]).all():
             self.edges, self.self_loops_dropped, self.duplicates_dropped = np.array(raw, order="C"), 0, 0
         else:
+            codes = np.minimum(raw[:, 0], raw[:, 1]) * self.n + np.maximum(raw[:, 0], raw[:, 1])
             codes = np.sort(codes[raw[:, 0] != raw[:, 1]])
             self.self_loops_dropped = int(raw.shape[0] - codes.size)
             codes = codes[np.diff(codes, prepend=-1) != 0]  # first copy of each code; empty stays empty
@@ -166,8 +167,8 @@ def _configuration_model(degrees: np.ndarray, n: int, rng: np.random.Generator):
     as two leftover stubs of one node. Residual stubs are dropped and
     counted.
 
-    Conflicts are found by sorting: a sweep's pair codes a*n + b are
-    ranked by a stable argsort, the first copy of a code wins, and
+    Conflicts are found by sorting: of a sweep's equal pair codes a*n + b,
+    the copy of lowest pair index wins (the first a stable sort ranks), and
     membership is tested with `searchsorted` against `seen`, a sorted
     mirror of the accepted codes that ends in the sentinel n*n. `accepted`
     itself keeps insertion order, because the dissolve choice picks
@@ -185,14 +186,15 @@ def _configuration_model(degrees: np.ndarray, n: int, rng: np.random.Generator):
         rng.shuffle(stubs)
         u, v = stubs[0::2], stubs[1::2]
         codes = np.minimum(u, v) * n + np.maximum(u, v)
-        order = np.argsort(codes, kind="stable")
-        ranked = codes[order]
-        at = np.searchsorted(seen, ranked)
-        fresh = (u[order] != v[order]) & (seen[at] != ranked) & (np.diff(ranked, prepend=-1) != 0)
+        order = np.argsort(codes)  # each run of equal codes gives its lowest pair index
+        lowest = np.minimum.reduceat(order, np.flatnonzero(np.diff(codes[order], prepend=-1)))
+        distinct = codes[lowest]
+        at = np.searchsorted(seen, distinct)
+        fresh = (u[lowest] != v[lowest]) & (seen[at] != distinct)
         keep = np.zeros(codes.size, dtype=bool)
-        keep[order[fresh]] = True
+        keep[lowest[fresh]] = True
         accepted = np.concatenate((accepted, codes[keep]))
-        seen = np.insert(seen, at[fresh], ranked[fresh])
+        seen = np.insert(seen, at[fresh], distinct[fresh])
         stubs = np.concatenate((u[~keep], v[~keep]))
         if stubs.size and not keep.any() and accepted.size:
             dissolve = min(accepted.size, max(4, stubs.size))
@@ -505,8 +507,9 @@ def _tau_constants(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Order-free part of `_tau_by_removed`: key base u·(n+1) + n by half-edge and by sorted position; 2r + 1."""
     n = graph.n
     degrees = graph.degrees()
-    rank = np.arange(2 * graph.edge_count) - np.repeat(np.cumsum(degrees) - degrees, degrees)
-    return graph.edges.T.ravel() * (n + 1) + n, np.repeat(np.arange(n) * (n + 1) + n, degrees), 2.0 * rank + 1
+    node = np.repeat(np.arange(n), degrees)
+    rank = np.arange(2 * graph.edge_count) - (np.cumsum(degrees) - degrees)[node]
+    return graph.edges.T.ravel() * (n + 1) + n, node * (n + 1) + n, 2.0 * rank + 1
 
 
 def _tau_by_removed(graph: NetworkGraph, times: np.ndarray, constants) -> np.ndarray:
@@ -521,8 +524,9 @@ def _tau_by_removed(graph: NetworkGraph, times: np.ndarray, constants) -> np.nda
     n = graph.n
     base, offset, weights = constants
     # half-edges grouped by node, latest survival time first; a key's offset less the key is its time
-    key = np.sort(base - np.concatenate((times, times)))
-    s2 = np.bincount(offset - key, weights=weights, minlength=n + 1)[::-1].cumsum()[::-1]
+    key = (base.reshape(2, -1) - times).ravel()
+    key.sort()
+    s2 = np.bincount(np.subtract(offset, key, out=key), weights=weights, minlength=n + 1)[::-1].cumsum()[::-1]
     s1 = 2.0 * np.bincount(times, minlength=n + 1)[::-1].cumsum()[::-1]
     return np.divide(s2, s1, out=np.zeros(n + 1), where=s1 > 0)
 
@@ -595,8 +599,8 @@ def _trial_response(graph, scheme, seed, removed, constants, trial) -> tuple[np.
 def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcEstimate:
     """Empirical critical fraction: first q where surviving tau falls to <= 2.
 
-    Random attacks are averaged over `trials` seeded orders; targeted
-    orders are deterministic.
+    Random attacks average `trials` seeded orders, folded in trial order on
+    any CPU count (`_threaded_map`); targeted orders are deterministic.
     """
     trials = _count(trials, "trials")
     scheme = _attack_scheme(scheme)
@@ -604,9 +608,10 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     if graph.tau() <= 2.0:
         return QcEstimate(0.0, True)
     constants = _tau_constants(graph)
-    orders = (_order(graph, scheme, seed, trial) for trial in range(trials if scheme == RANDOM else 1))
-    crossings = [
-        int(np.argmax(_tau_by_removed(graph, _survival_times(graph, order), constants) <= 2.0)) / graph.n
-        for order in orders
-    ]  # no tau or survival times may outlive their trial, or the next trial faults in fresh pages
+
+    def crossing(trial):  # its numpy calls release the GIL, so trials run on threads
+        times = _survival_times(graph, _order(graph, scheme, seed, trial))
+        return int(np.argmax(_tau_by_removed(graph, times, constants) <= 2.0)) / graph.n
+
+    crossings = _threaded_map(crossing, range(trials if scheme == RANDOM else 1), graph.n + 2 * graph.edge_count)
     return QcEstimate(float(np.mean(crossings)), False)

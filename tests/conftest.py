@@ -1,6 +1,7 @@
 """Session-wide checks for the test suite."""
 
 import os
+import threading
 
 import pytest
 
@@ -39,6 +40,16 @@ def no_child_left():
     yield
     left = leftover_children()
     assert left == [], f"child processes outlived the test: {left}"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    # a test whose code under test leaves a thread running fails on it; the fork map must not fork
+    # while a thread of the package may hold a lock the child would inherit locked
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    assert left == [], f"threads outlived the test: {left}"
 
 
 def pytest_sessionfinish(session, exitstatus):

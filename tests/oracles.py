@@ -78,3 +78,45 @@ def min_disruptive_fraction(n, edges):
             s1 = sum(degree.values())
             if s1 == 0 or sum(k * k for k in degree.values()) / s1 <= 2.0:
                 return r / n
+
+
+def configuration_model(degrees, n, rng, sweeps):
+    """Stub matching with conflict re-wiring, each sweep's pair codes ranked by a stable argsort.
+
+    The reference for `_configuration_model`'s rule: of the copies of a
+    code that one sweep draws, the stable argsort ranks the one of lowest
+    pair index first, and it wins. Returns (edges, dropped stubs, sweeps
+    that drew a non-loop code more than once, dissolves), so that a test
+    can see which paths it ran.
+    """
+    import numpy as np
+
+    stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    accepted = np.empty(0, dtype=np.int64)
+    seen = np.array([n * n], dtype=np.int64)
+    repeats = dissolves = 0
+    for _ in range(sweeps):
+        if stubs.size == 0:
+            break
+        rng.shuffle(stubs)
+        u, v = stubs[0::2], stubs[1::2]
+        codes = np.minimum(u, v) * n + np.maximum(u, v)
+        order = np.argsort(codes, kind="stable")
+        ranked = codes[order]
+        at = np.searchsorted(seen, ranked)
+        copy = np.diff(ranked, prepend=-1) == 0
+        repeats += bool((copy & (u[order] != v[order])).any())
+        fresh = (u[order] != v[order]) & (seen[at] != ranked) & ~copy
+        keep = np.zeros(codes.size, dtype=bool)
+        keep[order[fresh]] = True
+        accepted = np.concatenate((accepted, codes[keep]))
+        seen = np.insert(seen, at[fresh], ranked[fresh])
+        stubs = np.concatenate((u[~keep], v[~keep]))
+        if stubs.size and not keep.any() and accepted.size:
+            dissolves += 1
+            picks = rng.choice(accepted.size, size=min(accepted.size, max(4, stubs.size)), replace=False)
+            freed = accepted[picks]
+            accepted = np.delete(accepted, picks)
+            seen = np.delete(seen, np.searchsorted(seen, freed))
+            stubs = np.concatenate((stubs, freed // n, freed % n))
+    return np.column_stack(np.divmod(seen[:-1], n)), int(stubs.size), repeats, dissolves

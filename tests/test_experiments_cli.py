@@ -150,6 +150,16 @@ class TestM1:
         for row in surface:
             assert 0.0 < float(row["qc_random"]) < 1.0
 
+    @pytest.mark.parametrize("pf", ["0.03", "0.05", "0.1"])
+    def test_surface_rows_skip_the_undetectable_regime(self, pf, capsys):
+        # a surface row's q is q_c: at pf = 0.03 five rows had q_c * p_d <= p_f (ER k_hat = 1.2:
+        # 0.1667 * 0.1), and at 0.05 and 0.1 ER k_hat = 2, whose q_c is 0.5 exactly, met p_d = 0.1 and
+        # 0.2 in a degenerate test (exit 3). The CSV's 12 digits blur the products' last bits: exponential
+        # beta = 1 keeps q_c * 0.3 one ulp above 0.1, which the float rule counts as detectable
+        assert run(["m1", "--pf", pf]) == 0
+        surface = [r for r in parse_csv(capsys.readouterr().out) if r["record"] == "surface"]
+        assert surface and all(float(r["q"]) * float(r["pd"]) > float(pf) * (1 - 1e-9) for r in surface)
+
     def test_subcritical_surface_point_is_skipped(self, capsys):
         # k_hat = 0.5 has tau = 1.5: qc_random raises SubcriticalError, and the point writes no row
         assert run(["m1", "--khat_grid", "0.5,4"]) == 0

@@ -6,6 +6,8 @@ import hashlib
 import itertools
 import subprocess
 import sys
+import threading
+import warnings
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,8 +37,9 @@ from seqdef import (
     simulate_attack,
 )
 from seqdef import _rand
-from seqdef._rand import GROUP_STATES
+from seqdef._rand import GROUP_STATES, rng_stream
 from seqdef.graph_engine import (
+    REWIRE_SWEEPS,
     _configuration_model,
     _er_gnp,
     _lcc_by_removed,
@@ -48,7 +51,7 @@ from seqdef.graph_engine import (
 )
 
 from conftest import leftover_children
-from oracles import min_disruptive_fraction
+from oracles import configuration_model, min_disruptive_fraction
 
 
 def complete_graph(n):
@@ -189,6 +192,28 @@ class TestGenerate:
         edges, dropped = _configuration_model(degrees, degrees.size, np.random.default_rng(seed))
         assert is_canonical(degrees.size, edges)
         assert dropped == 0 and np.array_equal(np.bincount(edges.ravel(), minlength=degrees.size), degrees)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), kind=st.sampled_from(["hubs", "dissolve"]), seed=st.integers(0, 2**16))
+    def test_configuration_model_matches_the_stable_sweep(self, data, kind, seed):
+        # the lowest pair index of each run of equal codes is the copy a stable argsort ranks first.
+        # Hubs make one sweep draw a code twice; a hub with more stubs than other nodes stalls the
+        # sweeps, which then dissolve accepted edges
+        if kind == "hubs":
+            n = data.draw(st.integers(4, 40))
+            degrees = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            for hub in data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)):
+                degrees[hub] = data.draw(st.integers(n // 2, n - 1))
+        else:
+            n = data.draw(st.integers(3, 6))
+            others = data.draw(st.lists(st.integers(1, 2), min_size=n - 1, max_size=n - 1))
+            degrees = [data.draw(st.integers(3 * n, 4 * n))] + others
+        degrees = np.array(degrees)
+        degrees[0] += degrees.sum() % 2
+        edges, dropped, repeats, dissolves = configuration_model(degrees, n, rng_stream(seed, 0xCF), REWIRE_SWEEPS)
+        assume(repeats if kind == "hubs" else dissolves)
+        got, got_dropped = _configuration_model(degrees, n, rng_stream(seed, 0xCF))
+        assert np.array_equal(got, edges) and got_dropped == dropped
 
     def test_configuration_model_preserves_sequence(self):
         model = DegreeModel.power_law(2.5, k_max=40, n=2000)
@@ -555,6 +580,33 @@ def test_betweenness_order_on_stand_in_is_pinned():
     assert leftover_children() == []
 
 
+def test_sort_path_on_a_scrambled_stand_in(tmp_path):
+    # the stand-in as a raw edge list, which `load_edge_list` canonicalizes on NetworkGraph's sort
+    # path: ids permuted, half the rows reversed, 50 lines repeated, 7 self-loops, lines shuffled
+    g = generate(DegreeModel.er(2.67, n=4941), 4941, seed=3)
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(g.n)  # node i of g is written as id perm[i], which the loader makes node perm[i]
+    rows = perm[g.edges]
+    flip = rng.permutation(len(rows))[: len(rows) // 2]
+    rows[flip] = rows[flip, ::-1]
+    loops = np.repeat(rng.choice(g.n, 7, replace=False), 2).reshape(-1, 2)
+    rows = np.concatenate((rows, rows[rng.choice(len(rows), 50, replace=False)], loops))
+    lines = [f"{a} {b}\n" for a, b in rows[rng.permutation(len(rows))].tolist()]
+    lines += [f"{v}\n" for v in perm[g.degrees() == 0].tolist()]  # isolated nodes
+    path = tmp_path / "stand_in.edges"
+    path.write_text("".join(lines))
+    loaded = load_edge_list(path)
+    assert (loaded.n, loaded.self_loops_dropped, loaded.duplicates_dropped) == (g.n, 7, 50)
+    assert np.allclose(betweenness(loaded)[perm], betweenness(g), rtol=1e-12, atol=0)
+    order = _order(g, "random", 0, 0)
+    times, image = _survival_times(g, order), _survival_times(loaded, perm[order])
+    assert np.array_equal(_lcc_by_removed(loaded, image), _lcc_by_removed(g, times))
+    assert np.array_equal(
+        _tau_by_removed(loaded, image, _tau_constants(loaded)), _tau_by_removed(g, times, _tau_constants(g))
+    )
+    assert leftover_children() == []
+
+
 def names_read(name):
     """(file, enclosing function) of every place the package's modules read `name`; not its assignment or def."""
     reads = []
@@ -657,10 +709,10 @@ def test_cpus_and_group_states_change_no_output(monkeypatch, cpus):
     assert len(runs) == 1
 
 
-def test_only_ordered_map_reads_group_states():
-    # the fork threshold is a scheduling choice made in one place; code that read it elsewhere could
-    # make an output depend on it again
-    assert names_read("GROUP_STATES") == [("_rand.py", "_ordered_map")]
+def test_only_the_worker_rule_reads_group_states():
+    # the threshold is a scheduling choice made in one place, which both maps read; code that read it
+    # elsewhere could make an output depend on it again
+    assert names_read("GROUP_STATES") == [("_rand.py", "_cpus")]
 
 
 def test_only_graph_tasks_use_the_map():
@@ -890,7 +942,7 @@ class TestEstimateQc:
 
     # float hex of the 5-trial q_c at seed 11, and for ER the sha256 of edges.tobytes(): a change to
     # G(n, p) generation, canonicalization, survival times or the tau pass moves one of them
-    @pytest.mark.parametrize(
+    RANDOM_QC_PINS = pytest.mark.parametrize(
         "model, seed, edges, qc",
         [
             (
@@ -908,10 +960,38 @@ class TestEstimateQc:
         ],
         ids=["er", "power_law"],
     )
+
+    @RANDOM_QC_PINS
     def test_random_qc_pinned(self, model, seed, edges, qc):
         g = generate(model, 10**4, seed=seed)
         assert hashlib.sha256(g.edges.tobytes()).hexdigest() == edges
         assert estimate_qc(g, "random", 5, 11).qc.hex() == qc
+
+    @RANDOM_QC_PINS
+    def test_random_qc_pinned_on_threads(self, monkeypatch, cpus, model, seed, edges, qc):
+        # at n = 1e4 the 5 trials run inline by default; on 2 threads they give the same bits
+        g = generate(model, 10**4, seed=seed)
+        cpus(2)
+        monkeypatch.setattr(_rand, "GROUP_STATES", 0)
+        assert len(_rand._cpus(range(5), g.n + 2 * g.edge_count)) == 2
+        assert estimate_qc(g, "random", 5, 11).qc.hex() == qc
+
+    def test_forked_betweenness_after_threaded_estimate_qc(self, monkeypatch, cpus):
+        # the thread map joins its threads before it returns, so the fork map that follows forks a
+        # process with one thread: no warning, no child left behind, and the inline scores
+        g = generate(DegreeModel.er(2.67, n=900), 900, seed=4)
+        assert forks(*lane_blocks(nx.k_core(to_networkx(g), 2)))
+        cpus(1)
+        inline, qc = betweenness(g), estimate_qc(g, "random", 5, 0)
+        cpus(2)
+        monkeypatch.setattr(_rand, "GROUP_STATES", 0)
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_qc(g, "random", 5, 0) == qc
+            assert threading.active_count() == threads
+            assert np.array_equal(betweenness(g), inline)
+        assert leftover_children() == []
 
     def test_trials_validation(self):
         with pytest.raises(ConfigError):

@@ -1,13 +1,15 @@
-"""The contract of `_ordered_map`: task order, pinned workers, worker failures and early exits."""
+"""The contracts of the two maps: task order, pinned workers, worker failures and early exits for
+`_ordered_map`, and task order, the inline threshold and joined threads for `_threaded_map`."""
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from seqdef import _rand
-from seqdef._rand import _ordered_map
+from seqdef._rand import _ordered_map, _threaded_map
 
 from conftest import leftover_children
 
@@ -121,3 +123,49 @@ def test_closing_the_generator_reaps_the_workers(cpus, deadline):
     next(results)
     results.close()
     assert leftover_children() == []
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_thread_map_runs_a_thread_per_cpu_in_task_order(cpus, deadline, count):
+    # W = min(CPUs, tasks) threads run at once, thread w tasks w, w + W, ..., the caller's being w = 0:
+    # the first `count` tasks wait at a barrier that only `count` threads running at once pass.
+    # Results come back in task order
+    cpus(count)
+    barrier = threading.Barrier(count, timeout=5)
+
+    def task(i):
+        if i < count:
+            barrier.wait()
+        return i * i, threading.current_thread()
+
+    results = _threaded_map(task, range(10), _rand.GROUP_STATES)
+    assert [square for square, _ in results] == [i * i for i in range(10)]
+    runners = [runner for _, runner in results]
+    assert runners[0] is threading.current_thread() and len(set(runners)) == count
+    assert all(runners[i] is runners[i % count] for i in range(10))
+
+
+def test_small_thread_maps_run_inline(cpus):
+    # 8 tasks of GROUP_STATES // 8 entries hold GROUP_STATES together: not more, so no thread
+    cpus(2)
+    runners = _threaded_map(lambda task: threading.current_thread(), range(8), _rand.GROUP_STATES // 8)
+    assert set(runners) == {threading.current_thread()}
+    assert _threaded_map(square, range(5), 0) == [0, 1, 4, 9, 16]
+
+
+def test_first_thread_exception_in_task_order_is_raised_once_all_are_joined(cpus, deadline):
+    # threads run 0, 3, 6 (the caller's), 1, 4, 7 and 2, 5, 8, each up to its first failure. Task 3
+    # fails first in time, task 1 first in task order, and task 2 still runs when both have
+    cpus(3)
+    before = threading.active_count()
+    finished = []
+
+    def task(i):
+        time.sleep({1: 0.1, 2: 0.3}.get(i, 0))
+        if i in (1, 3):
+            raise ValueError(f"bad task {i}")
+        finished.append(i)
+
+    with pytest.raises(ValueError, match="^bad task 1$"):
+        _threaded_map(task, range(9), _rand.GROUP_STATES)
+    assert threading.active_count() == before and sorted(finished) == [0, 2, 5, 8]
