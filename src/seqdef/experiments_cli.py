@@ -138,8 +138,8 @@ def _detectors(pd_grid, pf: float):
 
 
 def _detectable(q: float, det: DetectorProfile) -> bool:
-    """Whether attacking a fraction q gives ones more often than noise does: q * p_d > p_f, in floats, with no noise guard."""
-    return q * det.p_d > det.p_f
+    """Whether attacking a fraction q beats noise: q * p_d > p_f by a relative 1e-9, as `ceil_count` guards floats."""
+    return q * det.p_d > det.p_f * (1 + 1e-9)  # 0.1 * 0.1 is one ulp above p_f = 0.01, a point equal to it in decimal
 
 
 def _render(config: ExperimentConfig, columns: list[str], rows: list[list]) -> str:

@@ -5,10 +5,10 @@ edge array decoded from the sorted distinct pair codes a*n + b. An attack
 removes nodes in a scheme-specific order; each edge then has a survival
 time t_e, the earlier removal position of its two ends, and is present
 while at most t_e nodes are gone. One pass per order computes the times,
-and the whole removal curve follows from them: the Molloy-Reed ratio of
-the surviving subgraph by sorting and cumulative sums, and its largest
-component by union-find over the edges in decreasing t_e (reverse
-percolation, Newman & Ziff 2000).
+and the whole removal curve follows from them: the Molloy-Reed excess
+sum d(d - 2) of the surviving subgraph by sorting and cumulative sums, and
+its largest component by union-find over the edges in decreasing t_e
+(reverse percolation, Newman & Ziff 2000).
 
 Betweenness orders come from exact scores. Every hanging tree is peeled
 away and scored by one closed form in its sizes; exact Brandes
@@ -91,12 +91,6 @@ class NetworkGraph:
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)
-
-    def tau(self) -> float:
-        """Molloy-Reed ratio E[K^2]/E[K]; 0 for an edgeless graph."""
-        deg = self.degrees()
-        s1 = float(deg.sum())
-        return float((deg.astype(float) ** 2).sum() / s1) if s1 > 0 else 0.0
 
     def edge_text(self) -> str:
         """Canonical serialization that `load_edge_list` reads back as this graph.
@@ -504,31 +498,28 @@ def _survival_times(graph: NetworkGraph, order: np.ndarray) -> np.ndarray:
 
 
 def _tau_constants(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Order-free part of `_tau_by_removed`: key base u·(n+1) + n by half-edge and by sorted position; 2r + 1."""
+    """Order-free part of `_excess_by_removed`: key base u·(n+1) + n by half-edge and by sorted position; 2r - 1."""
     n = graph.n
     degrees = graph.degrees()
     node = np.repeat(np.arange(n), degrees)
     rank = np.arange(2 * graph.edge_count) - (np.cumsum(degrees) - degrees)[node]
-    return graph.edges.T.ravel() * (n + 1) + n, node * (n + 1) + n, 2.0 * rank + 1
+    return graph.edges.T.ravel() * (n + 1) + n, node * (n + 1) + n, 2.0 * rank - 1
 
 
-def _tau_by_removed(graph: NetworkGraph, times: np.ndarray, constants) -> np.ndarray:
-    """Molloy-Reed tau of what survives each removal prefix, by removed count m = 0..n, from survival `times`.
+def _excess_by_removed(graph: NetworkGraph, times: np.ndarray, constants) -> np.ndarray:
+    """Molloy-Reed excess D = sum of d(d - 2) over what survives each removal prefix, by removed count m = 0..n.
 
     Going back in time, a node's degree grows by one at each of its edges'
-    survival times, so its half-edge of rank r (0 for the latest t_e) adds
-    2r + 1 to the sum of squared degrees. Both sums are exact integers, and
-    tau is 0 once no edge survives. `constants`, from `_tau_constants`,
-    serves every order on one graph.
+    survival `times`, so its half-edge of rank r (0 for the latest t_e) adds
+    2r - 1 to D, an exact integer, 0 once no edge survives. tau = sum d² /
+    sum d <= 2 holds exactly where D <= 0, as does its float quotient while
+    sum d < 2**52. `constants`, from `_tau_constants`, serves every order.
     """
-    n = graph.n
     base, offset, weights = constants
     # half-edges grouped by node, latest survival time first; a key's offset less the key is its time
     key = (base.reshape(2, -1) - times).ravel()
     key.sort()
-    s2 = np.bincount(np.subtract(offset, key, out=key), weights=weights, minlength=n + 1)[::-1].cumsum()[::-1]
-    s1 = 2.0 * np.bincount(times, minlength=n + 1)[::-1].cumsum()[::-1]
-    return np.divide(s2, s1, out=np.zeros(n + 1), where=s1 > 0)
+    return np.bincount(np.subtract(offset, key, out=key), weights=weights, minlength=graph.n + 1)[::-1].cumsum()[::-1]
 
 
 def _lcc_by_removed(graph: NetworkGraph, times: np.ndarray) -> np.ndarray:
@@ -591,13 +582,15 @@ def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
 
 
 def _trial_response(graph, scheme, seed, removed, constants, trial) -> tuple[np.ndarray, np.ndarray]:
-    """(LCC sizes by removed count, tau at `removed`) of the removal order of `trial`."""
+    """(LCC sizes by removed count, tau = sum d² / sum d at `removed`, 0 with no edge) of the order of `trial`."""
     times = _survival_times(graph, _order(graph, scheme, seed, trial))
-    return _lcc_by_removed(graph, times), _tau_by_removed(graph, times, constants)[removed]
+    s1 = 2.0 * np.bincount(times, minlength=graph.n + 1)[::-1].cumsum()[::-1][removed]
+    s2 = _excess_by_removed(graph, times, constants)[removed] + 2.0 * s1  # both terms exact integers
+    return _lcc_by_removed(graph, times), np.divide(s2, s1, out=np.zeros(removed.size), where=s1 > 0)
 
 
 def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcEstimate:
-    """Empirical critical fraction: first q where surviving tau falls to <= 2.
+    """Empirical critical fraction: first q where surviving tau falls to <= 2, the excess D to <= 0.
 
     Random attacks average `trials` seeded orders, folded in trial order on
     any CPU count (`_threaded_map`); targeted orders are deterministic.
@@ -605,13 +598,13 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     trials = _count(trials, "trials")
     scheme = _attack_scheme(scheme)
     _seed(seed)
-    if graph.tau() <= 2.0:
-        return QcEstimate(0.0, True)
     constants = _tau_constants(graph)
+    if constants[2].sum() <= 0.0:  # the intact graph's D
+        return QcEstimate(0.0, True)
 
     def crossing(trial):  # its numpy calls release the GIL, so trials run on threads
         times = _survival_times(graph, _order(graph, scheme, seed, trial))
-        return int(np.argmax(_tau_by_removed(graph, times, constants) <= 2.0)) / graph.n
+        return int(np.argmax(_excess_by_removed(graph, times, constants) <= 0.0)) / graph.n
 
     crossings = _threaded_map(crossing, range(trials if scheme == RANDOM else 1), graph.n + 2 * graph.edge_count)
     return QcEstimate(float(np.mean(crossings)), False)

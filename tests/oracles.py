@@ -60,23 +60,49 @@ def exact_truncated_test(success, p1, p0, risk, m_c, stop=math.inf):
     return TruncatedOutcome(attack, null, *forced, mean + rest * m_c, second + rest * m_c**2)
 
 
+def molloy_reed_tau(degrees):
+    """Molloy-Reed tau = sum d² / sum d as one float quotient, 0 with no edge: the float form of the test tau <= 2.
+
+    With whole degrees both sums are exact Python ints and the quotient is correctly rounded, as
+    the library's tau curves divide them.
+    """
+    s1 = sum(degrees)
+    return sum(d * d for d in degrees) / s1 if s1 else 0.0
+
+
+def surviving_degrees(edges, alive):
+    """Degrees, node by node, of the subgraph of `edges` that the node set `alive` spans; nodes of degree 0 left out."""
+    degree = Counter()
+    for a, b in edges:
+        if a in alive and b in alive:
+            degree[a] += 1
+            degree[b] += 1
+    return list(degree.values())
+
+
+def estimate_qc_by_tau(n, edges, orders):
+    """(q_c, subcritical) by the float tau rule: (0, True) if the intact graph has tau <= 2, else the
+    mean over `orders` (removal orders of the n nodes) of the first fraction m / n removed at which
+    tau of what survives is <= 2.
+    """
+    if molloy_reed_tau(surviving_degrees(edges, set(range(n)))) <= 2.0:
+        return 0.0, True
+    crossings = []
+    for order in orders:
+        m = next(m for m in range(n + 1) if molloy_reed_tau(surviving_degrees(edges, set(order[m:]))) <= 2.0)
+        crossings.append(m / n)
+    return sum(crossings) / len(crossings), False
+
+
 def min_disruptive_fraction(n, edges):
     """Smallest fraction of the n nodes whose removal leaves Molloy-Reed tau <= 2.
 
-    Scans every removal set by size; tau is the sum of squared surviving
-    degrees over the sum of surviving degrees, and counts as 0 once no
-    edge survives, so removing all nodes always qualifies.
+    Scans every removal set by size, with `molloy_reed_tau` of the surviving
+    degrees, so removing all nodes always qualifies.
     """
     for r in range(n + 1):
         for removed in itertools.combinations(range(n), r):
-            gone = set(removed)
-            degree = Counter()
-            for a, b in edges:
-                if a not in gone and b not in gone:
-                    degree[a] += 1
-                    degree[b] += 1
-            s1 = sum(degree.values())
-            if s1 == 0 or sum(k * k for k in degree.values()) / s1 <= 2.0:
+            if molloy_reed_tau(surviving_degrees(edges, set(range(n)) - set(removed))) <= 2.0:
                 return r / n
 
 

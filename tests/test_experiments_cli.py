@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import math
 from dataclasses import fields
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,8 +42,8 @@ def parse_csv(text):
 ANALYTIC_PINS = {
     "qc-sweep": "2d27872c96803921c06cca78bd52bd87f4d2614f2d301cc8a574897d092b3e78",
     "qc-sweep --kmin 2 --kmax 500 --meandeg_grid 2.5:9:7": "ad58968fd6531edc8b23f72ad7a0039d6a030a54148b0bfc80ef5ba665eeb7b2",
-    "m1": "d383cb2a9aca93bdfb5442b82b8556d08616b2cf49601ea81731acfdb0bc1fbd",
-    "m1 --delta 0.05 --theta 0.01 --pf 0.01": "7401f9355b18fb6192b7508cabab509511bf9cd0104305de9ca2fbadcec3fb1d",
+    "m1": "9e3a57ff8753a30ee2d9e1d9e0baf4f9e5688335a73cf32ea134c7bb852e609b",
+    "m1 --delta 0.05 --theta 0.01 --pf 0.01": "9a0060c9000ccd6bce53c6c2dc6e735110c309d1a97dfc83e813b3bbb9c17836",
     "worst-case": "03a58d59318d66e2919d39b1256c61feee97698acf7ee563a4194369e6c1c20c",
     "worst-case --pd 0.7 --pf 0.01 --n 5000": "9d907e53a983f8c149d37bb4562b45a6aa2520d463c3d5da0ad96961c4db0e5a",
     "empirical": "eca942aca104aa293be0db3353617591cfbe1350fe84e6bed05a0dcc2bbcfdb4",
@@ -150,15 +151,19 @@ class TestM1:
         for row in surface:
             assert 0.0 < float(row["qc_random"]) < 1.0
 
-    @pytest.mark.parametrize("pf", ["0.03", "0.05", "0.1"])
-    def test_surface_rows_skip_the_undetectable_regime(self, pf, capsys):
+    @pytest.mark.parametrize(
+        "argv", [[], ["--pf", "0.03"], ["--pf", "0.05"], ["--pf", "0.1"]], ids=["defaults", "0.03", "0.05", "0.1"]
+    )
+    def test_surface_rows_skip_the_undetectable_regime(self, argv, capsys):
         # a surface row's q is q_c: at pf = 0.03 five rows had q_c * p_d <= p_f (ER k_hat = 1.2:
         # 0.1667 * 0.1), and at 0.05 and 0.1 ER k_hat = 2, whose q_c is 0.5 exactly, met p_d = 0.1 and
-        # 0.2 in a degenerate test (exit 3). The CSV's 12 digits blur the products' last bits: exponential
-        # beta = 1 keeps q_c * 0.3 one ulp above 0.1, which the float rule counts as detectable
-        assert run(["m1", "--pf", pf]) == 0
-        surface = [r for r in parse_csv(capsys.readouterr().out) if r["record"] == "surface"]
-        assert surface and all(float(r["q"]) * float(r["pd"]) > float(pf) * (1 - 1e-9) for r in surface)
+        # 0.2 in a degenerate test (exit 3). In floats 0.1 * 0.1 and 0.05 * 0.2 are one ulp above p_f =
+        # 0.01, and at pf = 0.1 exponential beta = 1 keeps q_c * 0.3 one ulp above it: each wrote an m1 of
+        # 2.07e18 or 2.07e17. In decimal they equal p_f, which the rule skips, on random and surface rows
+        assert run(["m1", *argv]) == 0
+        rows = [r for r in parse_csv(capsys.readouterr().out) if r["record"] in ("random", "surface")]
+        assert any(r["record"] == "surface" for r in rows)
+        assert all(Decimal(r["q"]) * Decimal(r["pd"]) > Decimal(r["pf"]) for r in rows)
 
     def test_subcritical_surface_point_is_skipped(self, capsys):
         # k_hat = 0.5 has tau = 1.5: qc_random raises SubcriticalError, and the point writes no row

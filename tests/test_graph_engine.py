@@ -2,6 +2,7 @@
 
 import ast
 import ctypes
+import functools
 import hashlib
 import itertools
 import subprocess
@@ -38,20 +39,29 @@ from seqdef import (
 )
 from seqdef import _rand
 from seqdef._rand import GROUP_STATES, rng_stream
+from seqdef import graph_engine
 from seqdef.graph_engine import (
     REWIRE_SWEEPS,
+    TIE_DIGITS,
     _configuration_model,
     _er_gnp,
+    _excess_by_removed,
     _lcc_by_removed,
     _order,
     _removal_curve,
+    _round_significant,
     _survival_times,
-    _tau_by_removed,
     _tau_constants,
 )
 
 from conftest import leftover_children
-from oracles import configuration_model, min_disruptive_fraction
+from oracles import (
+    configuration_model,
+    estimate_qc_by_tau,
+    min_disruptive_fraction,
+    molloy_reed_tau,
+    surviving_degrees,
+)
 
 
 def complete_graph(n):
@@ -79,7 +89,8 @@ class TestNetworkGraph:
     def test_degrees_and_tau(self):
         g = NetworkGraph(3, [(0, 1), (1, 2)])
         assert list(g.degrees()) == [1, 2, 1]
-        assert g.tau() == pytest.approx(6 / 4)
+        assert molloy_reed_tau(g.degrees().tolist()) == 6 / 4
+        assert _tau_constants(g)[2].sum() == 1 * -1 + 2 * 0 + 1 * -1  # the excess sum d(d - 2), below 0 as tau < 2
 
     def test_bad_endpoint_rejected(self):
         with pytest.raises(ConfigError):
@@ -396,10 +407,10 @@ def test_edge_text_round_trip_property(g, tmp_path):
 @settings(deadline=None)
 @given(g=labelled_graphs(), data=st.data())
 def test_reverse_percolation_matches_brute_force(g, data):
-    # every removal prefix: LCC by depth-first search and tau from the surviving degrees
+    # every removal prefix: LCC by depth-first search and the Molloy-Reed excess from the surviving degrees
     order = np.array(data.draw(st.permutations(range(g.n))))
     times = _survival_times(g, order)
-    lcc, tau = _lcc_by_removed(g, times), _tau_by_removed(g, times, _tau_constants(g))
+    lcc, excess = _lcc_by_removed(g, times), _excess_by_removed(g, times, _tau_constants(g))
     for m in range(g.n + 1):
         alive = set(order[m:].tolist())
         adj = {v: [] for v in alive}
@@ -420,10 +431,20 @@ def test_reverse_percolation_matches_brute_force(g, data):
                         seen.add(w)
                         stack.append(w)
             best = max(best, size)
-        s1 = sum(len(nb) for nb in adj.values())
-        s2 = sum(len(nb) ** 2 for nb in adj.values())
         assert lcc[m] == best
-        assert tau[m] == (s2 / s1 if s1 else 0.0)
+        assert excess[m] == sum(len(nb) * (len(nb) - 2) for nb in adj.values())
+
+
+@settings(deadline=None)
+@given(g=small_graphs(max_nodes=30), data=st.data())
+def test_excess_matches_surviving_degrees(g, data):
+    # raw graphs of up to 30 nodes, loops and repeats included: at every prefix of a random order the
+    # excess is sum d(d - 2) over the surviving degrees, as an exact integer
+    order = data.draw(st.permutations(range(g.n)))
+    excess = _excess_by_removed(g, _survival_times(g, np.array(order)), _tau_constants(g))
+    edges = g.edges.tolist()
+    expected = [sum(d * (d - 2) for d in surviving_degrees(edges, set(order[m:]))) for m in range(g.n + 1)]
+    assert excess.tolist() == expected
 
 
 class TestLargestComponent:
@@ -571,18 +592,30 @@ def test_betweenness_matches_networkx_beyond_255_levels(n, edges):
     assert_betweenness_matches_networkx(NetworkGraph(n, edges))
 
 
+STAND_IN_ORDER = "1ec86395b1b9ae290ca835b23f7a8e9606ab328a8f2cd06ce1036fa1babc7f20"
+
+
 def test_betweenness_order_on_stand_in_is_pinned():
     # sha256 of the removal order's bytes, as the per-source frontier kernel gave it before the
     # bit-lane kernel replaced it; float noise in the scores must not reorder any node
     g = generate(DegreeModel.er(2.67, n=4941), 4941, seed=3)
     digest = hashlib.sha256(removal_order(g, "betweenness", 0).tobytes()).hexdigest()
-    assert digest == "1ec86395b1b9ae290ca835b23f7a8e9606ab328a8f2cd06ce1036fa1babc7f20"
+    assert digest == STAND_IN_ORDER
     assert leftover_children() == []
 
 
-def test_sort_path_on_a_scrambled_stand_in(tmp_path):
-    # the stand-in as a raw edge list, which `load_edge_list` canonicalizes on NetworkGraph's sort
-    # path: ids permuted, half the rows reversed, 50 lines repeated, 7 self-loops, lines shuffled
+@functools.cache
+def stand_in_raw_scores(seed):
+    """Raw betweenness of stand-in `seed`, computed once for the tests that share it; any CPU count gives these bits."""
+    return betweenness(generate(DegreeModel.er(2.67, n=4941), 4941, seed=seed), normalized=False)
+
+
+def scrambled_stand_in(tmp_path):
+    """(stand-in seed 3, perm, the stand-in loaded back from a scrambled edge list).
+
+    Node i of the first is node perm[i] of the last. The raw list goes through NetworkGraph's sort
+    path: ids permuted, half the rows reversed, 50 lines repeated, 7 self-loops, lines shuffled.
+    """
     g = generate(DegreeModel.er(2.67, n=4941), 4941, seed=3)
     rng = np.random.default_rng(3)
     perm = rng.permutation(g.n)  # node i of g is written as id perm[i], which the loader makes node perm[i]
@@ -595,15 +628,76 @@ def test_sort_path_on_a_scrambled_stand_in(tmp_path):
     lines += [f"{v}\n" for v in perm[g.degrees() == 0].tolist()]  # isolated nodes
     path = tmp_path / "stand_in.edges"
     path.write_text("".join(lines))
-    loaded = load_edge_list(path)
+    return g, perm, load_edge_list(path)
+
+
+def same_up_to_ties(a, b, key):
+    """Whether removal orders a and b meet equal `key` values (by node) in the same runs, each run the same node set."""
+    if not np.array_equal(key[a], key[b]):
+        return False
+    run = np.cumsum(np.diff(key[a], prepend=key[a][:1]) != 0)
+    return np.array_equal(a[np.lexsort((a, run))], b[np.lexsort((b, run))])
+
+
+def test_sort_path_on_a_scrambled_stand_in(tmp_path):
+    # the stand-in as a raw edge list, which `load_edge_list` canonicalizes on NetworkGraph's sort path
+    g, perm, loaded = scrambled_stand_in(tmp_path)
     assert (loaded.n, loaded.self_loops_dropped, loaded.duplicates_dropped) == (g.n, 7, 50)
-    assert np.allclose(betweenness(loaded)[perm], betweenness(g), rtol=1e-12, atol=0)
+    assert np.allclose(betweenness(loaded, normalized=False)[perm], stand_in_raw_scores(3), rtol=1e-12, atol=0)
     order = _order(g, "random", 0, 0)
     times, image = _survival_times(g, order), _survival_times(loaded, perm[order])
     assert np.array_equal(_lcc_by_removed(loaded, image), _lcc_by_removed(g, times))
     assert np.array_equal(
-        _tau_by_removed(loaded, image, _tau_constants(loaded)), _tau_by_removed(g, times, _tau_constants(g))
+        _excess_by_removed(loaded, image, _tau_constants(loaded)), _excess_by_removed(g, times, _tau_constants(g))
     )
+    assert leftover_children() == []
+
+
+def test_scrambled_stand_in_forked_and_threaded(tmp_path, monkeypatch, cpus):
+    # the relation again with every map on 2 workers (GROUP_STATES = 0): lane blocks and random curves
+    # fork, estimate_qc's trials run on threads, against the stand-in's runs inline on 1 CPU. The
+    # scrambled graph's random trials take the images of the stand-in's orders
+    g, perm, loaded = scrambled_stand_in(tmp_path)
+    original, scored = graph_engine._order, []
+    def image_order(graph, *args):
+        return perm[original(g, *args)] if graph is loaded else original(graph, *args)
+
+    monkeypatch.setattr(graph_engine, "_order", image_order)
+    monkeypatch.setattr(graph_engine, "betweenness", lambda graph: scored.append(betweenness(graph)) or scored[-1])
+    cpus(1)
+    scores = stand_in_raw_scores(3) / ((g.n - 1) * (g.n - 2))  # as `betweenness` normalizes
+    by_betweenness = np.lexsort((np.arange(g.n), -_round_significant(scores, TIE_DIGITS)))
+    assert hashlib.sha256(by_betweenness.tobytes()).hexdigest() == STAND_IN_ORDER  # removal_order's
+    images = {"betweenness": perm[by_betweenness], "degree": perm[removal_order(g, "degree", 0)]}
+    curve, qc = average_random_attack(g, 0.5, 9, 8, seed=1), estimate_qc(g, "random", 5, 1)
+    cpus(2)
+    monkeypatch.setattr(_rand, "GROUP_STATES", 0)
+    assert len(_rand._cpus(range(5), 1)) == 2
+    by_scheme = {scheme: removal_order(loaded, scheme, 0) for scheme in images}
+    assert np.allclose(scored[0][perm], scores, rtol=1e-12, atol=0)
+    key = {"betweenness": _round_significant(scored[0], TIE_DIGITS), "degree": loaded.degrees()}
+    for scheme, image in images.items():
+        assert same_up_to_ties(by_scheme[scheme], image, key[scheme]), scheme
+    image_curve = average_random_attack(loaded, 0.5, 9, 8, seed=1)
+    assert np.array_equal(image_curve.lcc_by_removed, curve.lcc_by_removed)
+    assert np.array_equal(image_curve.remaining_tau, curve.remaining_tau)
+    assert estimate_qc(loaded, "random", 5, 1) == qc
+    assert leftover_children() == []
+
+
+def test_disjoint_union_of_two_stand_ins():
+    # the 2-cores of seeds 3 and 4 (3,485 and 3,496 nodes) sit side by side, so one lane block holds
+    # sources of both copies; no shortest path crosses, so each copy keeps its own raw scores, and
+    # the largest component is the larger copy's
+    a, b = (generate(DegreeModel.er(2.67, n=4941), 4941, seed=seed) for seed in (3, 4))
+    union = NetworkGraph(a.n + b.n, np.concatenate((a.edges, b.edges + a.n)))
+    raw = betweenness(union, normalized=False)
+    assert np.allclose(raw[: a.n], stand_in_raw_scores(3), rtol=1e-12, atol=0)
+    assert np.allclose(raw[a.n :], stand_in_raw_scores(4), rtol=1e-12, atol=0)
+    (size_a, members_a), (size_b, members_b) = largest_component(a), largest_component(b)
+    assert size_a != size_b
+    larger = members_a if size_a > size_b else [v + a.n for v in members_b]
+    assert largest_component(union) == (max(size_a, size_b), larger)
     assert leftover_children() == []
 
 
@@ -688,7 +782,7 @@ def test_random_curve_is_the_trial_order_sum():
     for trial in range(trials):
         times = _survival_times(g, _order(g, "random", 2, trial))
         lcc += _lcc_by_removed(g, times) / g.n
-        tau += _tau_by_removed(g, times, _tau_constants(g))[removed]
+        tau += [molloy_reed_tau(np.bincount(g.edges[times >= m].ravel()).tolist()) for m in removed]
     assert np.array_equal(curve.lcc_by_removed, lcc / trials)
     assert np.array_equal(curve.remaining_tau, tau / trials)
     assert leftover_children() == []
@@ -913,7 +1007,36 @@ class TestAverageRandomAttack:
         assert a.lcc_fraction[0] == pytest.approx(largest_component(g)[0] / g.n)
 
 
+CYCLE_50 = [(i, (i + 1) % 50) for i in range(50)]
+
+
 class TestEstimateQc:
+    @settings(deadline=None)
+    @given(g=small_graphs(max_nodes=30), seed=st.integers(0, 2**16), trials=st.integers(1, 4))
+    def test_matches_the_float_tau_rule(self, g, seed, trials):
+        # the integer excess D <= 0 gives the subcritical flag and the crossing of float tau <= 2, on the
+        # same random and degree orders
+        edges = g.edges.tolist()
+        randoms = [_order(g, "random", seed, trial).tolist() for trial in range(trials)]
+        assert tuple(estimate_qc(g, "random", trials, seed)) == estimate_qc_by_tau(g.n, edges, randoms)
+        degree = [removal_order(g, "degree", seed).tolist()]
+        assert tuple(estimate_qc(g, "degree", trials, seed)) == estimate_qc_by_tau(g.n, edges, degree)
+
+    @pytest.mark.parametrize(
+        "n, edges, qc",
+        [
+            (50, CYCLE_50, (0.0, True)),  # tau = 2 exactly: D = 0 on the intact graph
+            (50, CYCLE_50 + [(0, 25)], (0.08, False)),  # D = 6 - 2 per removal here falls to 0 at m = 4
+            (5, [], (0.0, True)),  # edgeless: D = 0, and tau counts as 0
+            (10, [(i, i + 1) for i in range(0, 10, 2)], (0.0, True)),  # perfect matching: tau = 1, D = -10
+        ],
+        ids=["cycle", "cycle_with_chord", "edgeless", "perfect_matching"],
+    )
+    def test_excess_examples(self, n, edges, qc):
+        g = NetworkGraph(n, edges)
+        assert tuple(estimate_qc(g, "random", 1, 0)) == qc
+        assert estimate_qc_by_tau(n, g.edges.tolist(), [_order(g, "random", 0, 0).tolist()]) == qc
+
     def test_already_subcritical_flagged(self):
         path4 = NetworkGraph(4, [(0, 1), (1, 2), (2, 3)])  # tau = 10/6 <= 2
         est = estimate_qc(path4, "random", trials=3, seed=0)
@@ -941,7 +1064,7 @@ class TestEstimateQc:
         assert targeted.qc < random_est.qc
 
     # float hex of the 5-trial q_c at seed 11, and for ER the sha256 of edges.tobytes(): a change to
-    # G(n, p) generation, canonicalization, survival times or the tau pass moves one of them
+    # G(n, p) generation, canonicalization, survival times or the excess pass moves one of them
     RANDOM_QC_PINS = pytest.mark.parametrize(
         "model, seed, edges, qc",
         [

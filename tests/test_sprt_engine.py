@@ -58,6 +58,25 @@ def oracle_outcome(plan, detector, risk, m_c, truth):
     return exact_truncated_test(p1 if truth == "h1" else detector.p_f, p1, detector.p_f, risk, m_c, stop)
 
 
+def assert_walk_mirrored(z1, z0, log_a, log_b, limit, success):
+    """`_walk` with negated LLRs and the thresholds swapped and negated is the same walk, attack and null swapped.
+
+    Negation is exact in floats, and each end of the band is trimmed at the same reports. The one
+    exception is a forced verdict at an LLR of exactly 0, null on both sides.
+    """
+    first, k, p, rest = sprt_engine._walk(z1, z0, log_a, log_b, limit, success, 0, 0, np.ones(1))
+    mfirst, mk, mp, mrest = sprt_engine._walk(-z1, -z0, -log_b, -log_a, limit, success, 0, 0, np.ones(1))
+    assert (mfirst, mk, mrest is None) == (first, k, rest is None)
+    assert np.array_equal(mp[: 2 * k], np.concatenate((p[k : 2 * k], p[:k])))
+    forced, mirrored = p[2 * k : 2 * k + 2], mp[2 * k : 2 * k + 2]  # (attack, null) truncated at the last report
+    assert np.array_equal(p[2 * k + 2 :], mp[2 * k + 2 :])  # the undecided mass of a walk stopped below EPSILON
+    if rest is None and any(_count_llr(d, first + k - 1, z1, z0) == 0.0 for d in range(first + k)):
+        assert mirrored[0] <= forced[1] and forced[0] <= mirrored[1]  # the tied mass is null in both
+        assert mirrored.sum() == pytest.approx(forced.sum(), abs=1e-15, rel=0)
+    else:
+        assert np.array_equal(mirrored, forced[::-1])
+
+
 class TestTypes:
     def test_risk_thresholds(self):
         assert RISK.log_a == pytest.approx(math.log(0.999 / 0.01), abs=1e-15)
@@ -327,6 +346,40 @@ class TestCountLattice:
         law, exact = law_outcome(plan, det, risk, m_c, truth), oracle_outcome(plan, det, risk, m_c, truth)
         assert law[:4] == pytest.approx(exact[:4], abs=1e-12, rel=0)
         assert law.mean == pytest.approx(exact.mean, abs=1e-12, rel=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        probs=st.tuples(st.floats(1e-4, 0.999), st.floats(1e-4, 0.999)).map(sorted).filter(lambda p: p[0] < p[1]),
+        delta=st.floats(1e-4, 0.45),
+        theta=st.floats(1e-4, 0.45),
+        limit=st.integers(1, 300),
+        success=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),  # as q * p_d and p_f are
+    )
+    @example((0.25, 0.75), 0.01, 0.01, 2, 0.5)  # the LLR of one one in two reports is exactly 0
+    def test_walk_mirrors_h0_and_h1(self, probs, delta, theta, limit, success):
+        # negated LLRs with the thresholds swapped and negated give the same walk with attack and null
+        # swapped, bit for bit: negation is exact in floats, and each end of the band is trimmed at the
+        # same reports. The one exception is a forced verdict at an LLR of exactly 0, null on both sides
+        risk = RiskBudget(delta, theta)
+        assert_walk_mirrored(*_llr_pair(probs[1], probs[0]), risk.log_a, risk.log_b, limit, success)
+
+    @pytest.mark.parametrize("log_a, log_b", [(3.0, -2.0), (2.0, -3.0), (4.0, -1.0)])
+    def test_walk_mirrors_llrs_that_meet_the_thresholds(self, log_a, log_b):
+        # with z1 = 1 and z0 = -1 the LLR after m reports with d ones is 2d - m, which lands exactly on
+        # each threshold: a state there is decided (attack at log_a, null at log_b) on both sides. The
+        # odd limit keeps the forced verdicts off an LLR of 0
+        assert_walk_mirrored(1.0, -1.0, log_a, log_b, 11, 0.5)
+
+    def test_walk_forces_a_zero_llr_to_null_on_both_sides(self):
+        # two reports with one one: z1 + z0 is exactly 0, neither threshold is met, and the forced verdict of
+        # that half of the mass is null both ways round, so the mirror is not the swap there
+        z1, z0 = _llr_pair(0.75, 0.25)
+        risk = RiskBudget(0.01, 0.01)
+        assert _count_llr(1, 2, z1, z0) == 0.0
+        walk = sprt_engine._walk(z1, z0, risk.log_a, risk.log_b, 2, 0.5, 0, 0, np.ones(1))
+        mirror = sprt_engine._walk(-z1, -z0, -risk.log_b, -risk.log_a, 2, 0.5, 0, 0, np.ones(1))
+        assert walk[:2] == mirror[:2] == (1, 2)
+        assert walk[2].tolist() == mirror[2].tolist() == [0.0, 0.0, 0.0, 0.0, 0.25, 0.75]
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
