@@ -17,7 +17,8 @@ compares the output digests that the two sides print on perfbench's info
 line at the same seed; a digest that differs fails the run unless it is
 named with `--expect-moved NAME`. perfbench/digests.json is not read.
 
-BENCH_<label>.json (in `--out`, default the repository root) holds the
+Every BENCHMARK.json workload runs at perfbench's default size.
+BENCH_<label>.json, written to the repository root, holds the
 host (perfbench's environment line, less the commit), both revisions,
 the arguments and, per workload: every pair with its seed, order,
 end-to-end metrics and moved digests (base and change value); and per
@@ -72,12 +73,12 @@ def extract(repo: Path, rev: str, into: Path) -> str:
     return head + ("+dirty" if dirty else "")
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, size: str) -> dict:
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench process: its info line's `perfbench` object with the result line's fields beside it."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run([*argv, "--size", size], cwd=tree, env=env, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode or len(lines) < 2:
         raise SystemExit(f"pairs: perfbench failed in {tree} ({workload}, seed {seed}):\n{done.stderr[-2000:]}")
@@ -119,7 +120,7 @@ def bench_workload(trees: dict, workload: str, args, specs: dict) -> dict:
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        runs = {side: run_perfbench(trees[side], workload, seed, args.seconds, args.size) for side in order}
+        runs = {side: run_perfbench(trees[side], workload, seed, args.seconds) for side in order}
         base_digests, change_digests = runs["base"]["digests"], runs["change"]["digests"]
         values = {k: [base_digests.get(k), change_digests.get(k)] for k in sorted(base_digests.keys() | change_digests.keys())}
         moved = {k: v for k, v in values.items() if v[0] != v[1]}
@@ -154,30 +155,26 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision of the base side")
     parser.add_argument("--change", default=WORKING_TREE, help="git revision of the change side (default: working tree)")
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
-    parser.add_argument("--workload", action="append", help="a BENCHMARK.json workload; repeat it (default: all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=0, help="pair i runs both sides at this seed + i")
     parser.add_argument("--seconds", type=float, default=20.0, help="perfbench's --seconds")
-    parser.add_argument("--size", default="paper", help="perfbench's --size")
     parser.add_argument("--expect-moved", action="append", default=[], metavar="NAME", help="a digest allowed to move")
-    parser.add_argument("--out", type=Path, help="directory of BENCH_<label>.json (default: the repository root)")
     args = parser.parse_args(argv)
     repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
     benchmark = json.loads((repo / "BENCHMARK.json").read_text())
     specs = {spec["name"]: spec for spec in benchmark["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    out = (args.out or repo).resolve() / f"BENCH_{args.label}.json"
+    out = repo / f"BENCH_{args.label}.json"
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("base", "change")}
         sides = (("base", args.base), ("change", args.change))
         revisions = {side: {"rev": rev, "commit": extract(repo, rev, trees[side])} for side, rev in sides}
-        results = {workload: bench_workload(trees, workload, args, specs) for workload in workloads}
+        results = {w["name"]: bench_workload(trees, w["name"], args, specs) for w in benchmark["workloads"]}
     env = next(iter(results.values()))["pairs"][0]["env"]
     report = {
         "label": args.label,
         "host": {k: env[k] for k in ("nproc", "python", "numpy", "machine")},
         **revisions,
-        "args": {k: v for k, v in vars(args).items() if k != "out"},
+        "args": vars(args),
         "workloads": results,
         "ok": all(r["correct"] and not r["unexpected_moves"] for r in results.values()),
     }

@@ -138,7 +138,7 @@ def _detectors(pd_grid, pf: float):
 
 
 def _detectable(q: float, det: DetectorProfile) -> bool:
-    """Whether attacking a fraction q beats noise: q * p_d > p_f by a relative 1e-9, as `ceil_count` guards floats."""
+    """Whether attacking a fraction q beats noise: q * p_d > p_f by a relative 1e-9 (`ceil_count`'s is absolute)."""
     return q * det.p_d > det.p_f * (1 + 1e-9)  # 0.1 * 0.1 is one ulp above p_f = 0.01, a point equal to it in decimal
 
 

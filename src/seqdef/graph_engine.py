@@ -497,7 +497,7 @@ def _survival_times(graph: NetworkGraph, order: np.ndarray) -> np.ndarray:
     return np.minimum(position[graph.edges[:, 0]], position[graph.edges[:, 1]])
 
 
-def _tau_constants(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _excess_constants(graph: NetworkGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Order-free part of `_excess_by_removed`: key base u·(n+1) + n by half-edge and by sorted position; 2r - 1."""
     n = graph.n
     degrees = graph.degrees()
@@ -513,7 +513,7 @@ def _excess_by_removed(graph: NetworkGraph, times: np.ndarray, constants) -> np.
     survival `times`, so its half-edge of rank r (0 for the latest t_e) adds
     2r - 1 to D, an exact integer, 0 once no edge survives. tau = sum d² /
     sum d <= 2 holds exactly where D <= 0, as does its float quotient while
-    sum d < 2**52. `constants`, from `_tau_constants`, serves every order.
+    sum d < 2**52. `constants`, from `_excess_constants`, serves every order.
     """
     base, offset, weights = constants
     # half-edges grouped by node, latest survival time first; a key's offset less the key is its time
@@ -566,7 +566,7 @@ def _removal_curve(graph, scheme, q, step_count, trials, seed) -> RemovalCurve:
     trials = _count(trials, "trials")
     fractions = np.linspace(0.0, _attacked_fraction(q), step_count)
     removed = np.minimum(np.round(fractions * graph.n).astype(np.int64), graph.n)
-    response = functools.partial(_trial_response, graph, scheme, seed, removed, _tau_constants(graph))
+    response = functools.partial(_trial_response, graph, scheme, seed, removed, _excess_constants(graph))
     lcc_acc = np.zeros(graph.n + 1)
     tau_acc = np.zeros(step_count)
     for lcc, tau in _ordered_map(response, range(trials), graph.n + 2 * graph.edge_count):
@@ -598,8 +598,8 @@ def estimate_qc(graph: NetworkGraph, scheme: str, trials: int, seed: int) -> QcE
     trials = _count(trials, "trials")
     scheme = _attack_scheme(scheme)
     _seed(seed)
-    constants = _tau_constants(graph)
-    if constants[2].sum() <= 0.0:  # the intact graph's D
+    constants = _excess_constants(graph)
+    if constants[2].sum() <= 0.0:  # the weights' sum is the intact graph's D
         return QcEstimate(0.0, True)
 
     def crossing(trial):  # its numpy calls release the GIL, so trials run on threads

@@ -154,7 +154,7 @@ class TestM1:
     @pytest.mark.parametrize(
         "argv", [[], ["--pf", "0.03"], ["--pf", "0.05"], ["--pf", "0.1"]], ids=["defaults", "0.03", "0.05", "0.1"]
     )
-    def test_surface_rows_skip_the_undetectable_regime(self, argv, capsys):
+    def test_rows_skip_points_equal_to_pf_in_decimal(self, argv, capsys):
         # a surface row's q is q_c: at pf = 0.03 five rows had q_c * p_d <= p_f (ER k_hat = 1.2:
         # 0.1667 * 0.1), and at 0.05 and 0.1 ER k_hat = 2, whose q_c is 0.5 exactly, met p_d = 0.1 and
         # 0.2 in a degenerate test (exit 3). In floats 0.1 * 0.1 and 0.05 * 0.2 are one ulp above p_f =

@@ -71,8 +71,8 @@ def assert_walk_mirrored(z1, z0, log_a, log_b, limit, success):
     forced, mirrored = p[2 * k : 2 * k + 2], mp[2 * k : 2 * k + 2]  # (attack, null) truncated at the last report
     assert np.array_equal(p[2 * k + 2 :], mp[2 * k + 2 :])  # the undecided mass of a walk stopped below EPSILON
     if rest is None and any(_count_llr(d, first + k - 1, z1, z0) == 0.0 for d in range(first + k)):
-        assert mirrored[0] <= forced[1] and forced[0] <= mirrored[1]  # the tied mass is null in both
-        assert mirrored.sum() == pytest.approx(forced.sum(), abs=1e-15, rel=0)
+        tied = forced[1] - mirrored[0]  # null on both sides: each side's null is the other's attack and the tie
+        assert tied >= 0.0 and mirrored[1] - forced[0] == pytest.approx(tied, abs=1e-15, rel=0)
     else:
         assert np.array_equal(mirrored, forced[::-1])
 
@@ -369,17 +369,6 @@ class TestCountLattice:
         # each threshold: a state there is decided (attack at log_a, null at log_b) on both sides. The
         # odd limit keeps the forced verdicts off an LLR of 0
         assert_walk_mirrored(1.0, -1.0, log_a, log_b, 11, 0.5)
-
-    def test_walk_forces_a_zero_llr_to_null_on_both_sides(self):
-        # two reports with one one: z1 + z0 is exactly 0, neither threshold is met, and the forced verdict of
-        # that half of the mass is null both ways round, so the mirror is not the swap there
-        z1, z0 = _llr_pair(0.75, 0.25)
-        risk = RiskBudget(0.01, 0.01)
-        assert _count_llr(1, 2, z1, z0) == 0.0
-        walk = sprt_engine._walk(z1, z0, risk.log_a, risk.log_b, 2, 0.5, 0, 0, np.ones(1))
-        mirror = sprt_engine._walk(-z1, -z0, -risk.log_b, -risk.log_a, 2, 0.5, 0, 0, np.ones(1))
-        assert walk[:2] == mirror[:2] == (1, 2)
-        assert walk[2].tolist() == mirror[2].tolist() == [0.0, 0.0, 0.0, 0.0, 0.25, 0.75]
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
